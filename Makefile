@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-json bench-gate ci chaos serve-chaos fmt-check study report fuzz clean conform conform-update fix-conform fix-conform-update fuzz-smoke
+.PHONY: all build test vet lint bench bench-json bench-gate ci chaos serve-chaos fmt-check study report fuzz clean conform conform-update fix-conform fix-conform-update fuzz-smoke perfbench-test
 
 all: build test
 
@@ -19,6 +19,7 @@ ci: build vet lint fmt-check
 	$(GO) test -run '^$$' -fuzz='^FuzzClassify$$' -fuzztime=10s ./internal/resilience
 	$(GO) test -run '^$$' -fuzz='^FuzzReadJournal$$' -fuzztime=10s ./internal/store
 	$(MAKE) fuzz-smoke
+	$(MAKE) perfbench-test
 	$(MAKE) bench-gate
 
 # Conformance gate: run the checked-in html5lib-style corpus (tree
@@ -51,8 +52,9 @@ fix-conform-update:
 
 # Metamorphic fuzz smoke: 30s per oracle-free invariant (render→reparse
 # fixpoint, truncation stability, attribute-order invariance, decoder
-# agreement, stream≡tree checker equivalence) over the checked-in seed
-# corpora.
+# agreement, stream≡tree checker equivalence, one-pass check ≡ replayed
+# check) over the checked-in seed corpora, plus the pooled WARC decoder
+# against a fresh one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzRenderParseFixpoint$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzTruncationStability$$' -fuzztime=30s ./internal/conformance
@@ -61,6 +63,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzStreamTreeAgreement$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzFixIdempotence$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzFixMonotonicity$$' -fuzztime=30s ./internal/conformance
+	$(GO) test -run '^$$' -fuzz='^FuzzOnePassAgreement$$' -fuzztime=30s ./internal/conformance
+	$(GO) test -run '^$$' -fuzz='^FuzzReadRecordAt$$' -fuzztime=30s ./internal/warc
+
+# The end-to-end benchmark's own tests, under the race detector. perfbench
+# is a separate module (it builds the repo through a replace directive),
+# so ./... from the root does not reach it. Its output checks must keep
+# catching a checker that drops a finding or a server that fails requests.
+perfbench-test:
+	cd perfbench && $(GO) test -race ./...
 
 # Chaos smoke: the seeded fault-injection acceptance tests (~10%
 # transient faults, deterministic schedule) under the race detector —

@@ -1,6 +1,7 @@
 // Command hvbench records and gates the repo's benchmark trajectory:
-// the parser hot path, the streaming checker, the archive cache, and
-// the serving layer's end-to-end request latency.
+// the parser hot path, the streaming checker, the archive cache, the
+// WARC fetch-and-decode path, and the serving layer's end-to-end request
+// latency.
 //
 // It runs the selected benchmarks through `go test -json -bench`, folds
 // the event stream into the stable schema of internal/perf, and either
@@ -38,7 +39,7 @@ func main() {
 		out       = flag.String("out", "", "output path for -record (default BENCH_<yyyymmdd>.json)")
 		baseline  = flag.String("baseline", "BENCH_baseline.json", "baseline run to gate against")
 		tolerance = flag.Float64("tolerance", 0.10, "relative ns/op regression allowed before the gate fails")
-		benchRe   = flag.String("bench", "^(BenchmarkTokenize|BenchmarkParse|BenchmarkCheckStream|BenchmarkCheckFull|BenchmarkArchiveReadRange|BenchmarkServeCheck|BenchmarkServeCheckStream)$", "benchmark selection regexp passed to go test")
+		benchRe   = flag.String("bench", "^(BenchmarkTokenize|BenchmarkParse|BenchmarkCheckStream|BenchmarkCheckFull|BenchmarkArchiveReadRange|BenchmarkFetchCapture|BenchmarkServeCheck|BenchmarkServeCheckStream)$", "benchmark selection regexp passed to go test")
 		pkg       = flag.String("pkg", "./internal/htmlparse,./internal/core,./internal/commoncrawl,./internal/serve", "comma-separated packages whose benchmarks to run")
 		count     = flag.Int("count", 5, "go test -count; the fastest of N runs is kept per benchmark")
 		summary   = flag.String("summary", "", "append the markdown delta table to this file (e.g. $GITHUB_STEP_SUMMARY)")
@@ -114,7 +115,9 @@ func collect(input, benchRe, pkg string, count int) (*perf.Run, error) {
 		}
 		return perf.ParseTestJSON(f)
 	}
-	args := []string{"test", "-json", "-run", "^$",
+	// -p 1: go test otherwise runs the packages' benchmark binaries side
+	// by side, one per CPU, and each times the other's load as its own.
+	args := []string{"test", "-json", "-p", "1", "-run", "^$",
 		"-bench", benchRe, "-benchmem", fmt.Sprintf("-count=%d", count)}
 	for _, p := range strings.Split(pkg, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -138,6 +141,10 @@ func stamp(run *perf.Run) {
 	run.GoVersion = runtime.Version()
 	if sha, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		run.GitSHA = strings.TrimSpace(string(sha))
+		// A run of uncommitted edits is not a run of HEAD: mark it.
+		if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+			run.GitSHA += "-dirty"
+		}
 	}
 }
 

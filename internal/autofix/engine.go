@@ -46,18 +46,14 @@ func RepairContext(ctx context.Context, input []byte, opts Options) (*Result, er
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	parse := func(b []byte) (*htmlparse.Result, error) {
-		return htmlparse.ParseReuseContext(ctx, b, htmlparse.Options{
-			RecordTokens: true,
-			MaxTreeDepth: opts.MaxTreeDepth,
-		})
-	}
 	checker := core.NewChecker()
-	res, err := parse(input)
+	check := func(b []byte) (*htmlparse.Result, *core.Report, error) {
+		return checker.CheckTree(ctx, b, opts.MaxTreeDepth)
+	}
+	res, rep, err := check(input)
 	if err != nil {
 		return nil, err
 	}
-	rep := checker.CheckParsed(&core.Page{Result: res})
 	origHits := rep.RuleHits
 
 	r := &Result{Output: input, RemainingHits: origHits}
@@ -85,7 +81,7 @@ func RepairContext(ctx context.Context, input []byte, opts Options) (*Result, er
 		applied = append(applied, fixes...)
 		out := []byte(htmlparse.RenderString(res.Doc))
 
-		outRes, err := parse(out)
+		outRes, outRep, err := check(out)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -97,7 +93,6 @@ func RepairContext(ctx context.Context, input []byte, opts Options) (*Result, er
 			return fail(Unfixable{RuleID: targetedIDs(rep)[0],
 				Reason: "repaired candidate failed to re-parse: " + err.Error()}), nil
 		}
-		outRep := checker.CheckParsed(&core.Page{Result: outRes})
 
 		// No rule outside the registry may get worse than this round's
 		// input: those we could not fix next round anyway, so fail fast.

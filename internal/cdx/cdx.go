@@ -11,6 +11,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -102,22 +104,33 @@ func Host(rawURL string) string {
 
 // Index is an in-memory CDXJ index with prefix lookup, the shape the
 // Common Crawl index server exposes.
+//
+// Lookups may run concurrently. Read returns an index that is already
+// sorted; one built with Add sorts itself on its first lookup, under a
+// lock, so concurrent first lookups do not race. Add itself must not run
+// concurrently with lookups.
 type Index struct {
-	records []*Record // sorted by (SURT, Timestamp)
-	sorted  bool
+	records []*Record // sorted by (SURT, Timestamp) once sorted is set
+	sorted  atomic.Bool
+	mu      sync.Mutex // serializes the lazy sort
 }
 
 // Add appends a record.
 func (ix *Index) Add(r *Record) {
 	ix.records = append(ix.records, r)
-	ix.sorted = false
+	ix.sorted.Store(false)
 }
 
 // Len reports the number of records.
 func (ix *Index) Len() int { return len(ix.records) }
 
 func (ix *Index) sort() {
-	if ix.sorted {
+	if ix.sorted.Load() {
+		return
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.sorted.Load() {
 		return
 	}
 	sort.Slice(ix.records, func(i, j int) bool {
@@ -126,7 +139,7 @@ func (ix *Index) sort() {
 		}
 		return ix.records[i].Timestamp < ix.records[j].Timestamp
 	})
-	ix.sorted = true
+	ix.sorted.Store(true)
 }
 
 // LookupPrefix returns up to limit records whose SURT starts with the
@@ -182,5 +195,11 @@ func Read(r io.Reader) (*Index, error) {
 		}
 		ix.Add(rec)
 	}
-	return ix, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	// Sorting here, once, is what lets the index be shared by concurrent
+	// readers without their first lookups racing to sort it.
+	ix.sort()
+	return ix, nil
 }

@@ -2,7 +2,9 @@ package cdx
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,5 +119,40 @@ func TestIndexSerialization(t *testing.T) {
 	}
 	if ix2.Len() != 2 {
 		t.Fatalf("read back %d records", ix2.Len())
+	}
+}
+
+// TestConcurrentFirstLookups: both a Read index and an Add-built one
+// (which sorts lazily) serve concurrent first lookups; under -race this
+// fails if the lazy sort is unguarded.
+func TestConcurrentFirstLookups(t *testing.T) {
+	build := func() *Index {
+		ix := &Index{}
+		for i := 0; i < 200; i++ {
+			ix.Add(sampleRecord(fmt.Sprintf("https://d%03d.example/p", 199-i), int64(i)))
+		}
+		return ix
+	}
+	var buf bytes.Buffer
+	if _, err := build().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*Index{"read": read, "added": build()} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				domain := fmt.Sprintf("d%03d.example", g*7)
+				if got := ix.LookupPrefix(domain, 0); len(got) != 1 || got[0].URL != "https://"+domain+"/p" {
+					t.Errorf("%s: lookup %s = %v", name, domain, got)
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hvscan/hvscan/internal/cdx"
@@ -268,4 +269,34 @@ func pageIndexOf(url string) int {
 		n = n*10 + int(c-'0')
 	}
 	return n
+}
+
+// TestDiskArchiveConcurrentFirstQueries fires the crawler's access
+// pattern at a freshly opened archive: many workers whose first index
+// queries of a crawl arrive together. Run under -race.
+func TestDiskArchiveConcurrentFirstQueries(t *testing.T) {
+	dir := t.TempDir()
+	recs := writeDiskFixture(t, dir, 2)
+	a, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	crawl := a.Crawls()[0]
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(rec *cdx.Record) {
+			defer wg.Done()
+			got, err := a.Query(context.Background(), crawl, cdx.Host(rec.URL), 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(got) == 0 {
+				t.Errorf("query %s: no captures", cdx.Host(rec.URL))
+			}
+		}(recs[g%len(recs)])
+	}
+	wg.Wait()
 }

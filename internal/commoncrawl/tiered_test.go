@@ -472,3 +472,29 @@ func BenchmarkArchiveReadRange(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFetchCapture measures the fetch layer of a crawl page end to
+// end: a ranged pread from a DiskArchive of gzip-member WARC files
+// written by warc.Writer, the member's decode, and the HTTP split. It
+// cycles through every record so the work is not one cached range.
+func BenchmarkFetchCapture(b *testing.B) {
+	dir := b.TempDir()
+	recs := writeDiskFixture(b, dir, 2)
+	disk, err := OpenDisk(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	var total int64
+	for _, r := range recs {
+		total += r.Length
+	}
+	b.SetBytes(total / int64(len(recs)))
+	b.ReportAllocs()
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		if _, err := FetchCapture(ctx, disk, recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

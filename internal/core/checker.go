@@ -179,46 +179,143 @@ func (c *Checker) countHits(rep *Report) {
 	}
 }
 
-// runRules is the single report-assembly path shared by the tree and the
-// stream modes: it asks findingsFor for each configured rule's findings
-// (in catalogue order, i indexing c.rules), fills RuleHits, attaches the
-// signals, and records the instrumented counters — so the two modes cannot
-// drift in how a Report is put together.
-func (c *Checker) runRules(url string, sig Signals, findingsFor func(i int, r Rule) []Finding) *Report {
-	rep := &Report{URL: url, RuleHits: make(map[string]int, len(c.rules))}
+// pass is one document's run of the checker's rules: the live state of
+// every hook rule (a rule with Stream), the findings each has emitted so
+// far, and the page signals. Every mode feeds a pass the same inputs —
+// each start and end tag in document order, then the parse errors — so
+// hook rules and signals are computed by one piece of code whether the
+// tags arrive live from the tree builder (CheckTree), replayed from a
+// recorded trace (CheckParsed) or from the bare tokenizer (CheckStream).
+type pass struct {
+	c     *Checker
+	rules []ruleRun // parallel to c.rules
+	sig   Signals
+}
+
+// ruleRun is one rule's share of a pass: its hooks (zero for a rule
+// without Stream), what they emitted, and the emit func they append with.
+type ruleRun struct {
+	RuleStream
+	found []Finding
+	emit  func(Finding)
+}
+
+func (c *Checker) newPass() *pass {
+	ps := &pass{c: c, rules: make([]ruleRun, len(c.rules))}
+	for i, r := range c.rules {
+		if r.Stream == nil {
+			continue
+		}
+		rr := &ps.rules[i]
+		rr.RuleStream = r.Stream()
+		rr.emit = func(f Finding) { rr.found = append(rr.found, f) }
+	}
+	return ps
+}
+
+// tag feeds one start or end tag to the signals and every token hook.
+func (ps *pass) tag(t *htmlparse.Token) {
+	if t.Type == htmlparse.StartTagToken {
+		ps.sig.observe(t)
+	}
+	for i := range ps.rules {
+		if rr := &ps.rules[i]; rr.Token != nil {
+			rr.Token(t, rr.emit)
+		}
+	}
+}
+
+// errors feeds the document's parse errors, in order, to every error hook.
+func (ps *pass) errors(errs []htmlparse.ParseError) {
+	for _, e := range errs {
+		for i := range ps.rules {
+			if rr := &ps.rules[i]; rr.Error != nil {
+				rr.Error(e, rr.emit)
+			}
+		}
+	}
+}
+
+// report is the single report-assembly path of every mode: in catalogue
+// order, a hook rule contributes what it emitted and any other rule runs
+// its Check over p (skipped when p is nil: the stream path has no tree).
+// It fills RuleHits, attaches the signals, and records the instrumented
+// counters, so the modes cannot drift in how a Report is put together.
+func (ps *pass) report(p *Page) *Report {
+	c := ps.c
+	rep := &Report{RuleHits: make(map[string]int, len(c.rules))}
+	if p != nil {
+		rep.URL = p.URL
+	}
 	for i, rule := range c.rules {
-		fs := findingsFor(i, rule)
+		fs := ps.rules[i].found
+		if rule.Stream == nil && p != nil && rule.Check != nil {
+			fs = rule.Check(p)
+		}
 		if len(fs) > 0 {
 			rep.RuleHits[rule.ID] = len(fs)
 			rep.Findings = append(rep.Findings, fs...)
 		}
 	}
-	rep.Signals = sig
+	rep.Signals = ps.sig
 	c.countHits(rep)
 	return rep
 }
 
-// Check checks the document, building a parse tree only if a configured
-// rule needs one: a checker whose rules are all streaming-capable routes
-// through the constant-memory CheckStream path automatically. It returns
-// htmlparse.ErrNotUTF8 for documents the pipeline must filter (paper
-// §4.1).
+// Check checks the document in one parse: CheckTree when a configured
+// rule needs the tree, otherwise the constant-memory CheckStream path,
+// which never builds a DOM. It returns htmlparse.ErrNotUTF8 for documents
+// the pipeline must filter (paper §4.1).
 func (c *Checker) Check(html []byte) (*Report, error) {
 	if !c.needTree {
 		return c.CheckStream(html)
 	}
-	res, err := htmlparse.ParseReuse(html)
-	if err != nil {
-		return nil, err
-	}
-	return c.CheckParsed(&Page{Result: res}), nil
+	_, rep, err := c.checkTree(nil, html, 0)
+	return rep, err
 }
 
-// CheckParsed runs the rules over an already parsed page.
+// CheckTree parses html once and checks it during that parse. The
+// parser's OnTag hook drives every hook rule and the signals tag by tag,
+// so no token trace is recorded or replayed; the parse errors then go
+// through the error hooks, and the remaining rules run over the finished
+// Result, which is returned with the report (the repair engine edits its
+// tree). ctx bounds the parse and a positive maxTreeDepth caps the
+// open-element stack, as in htmlparse.ParseReuseContext; on either abort
+// the error is returned and there is no Result or report.
+func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int) (*htmlparse.Result, *Report, error) {
+	return c.checkTree(ctx, html, maxTreeDepth)
+}
+
+// checkTree is CheckTree with ctx nil for the uncancellable path.
+func (c *Checker) checkTree(ctx context.Context, html []byte, maxTreeDepth int) (*htmlparse.Result, *Report, error) {
+	ps := c.newPass()
+	opts := htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}
+	var res *htmlparse.Result
+	var err error
+	if ctx == nil {
+		res, err = htmlparse.ParseReuseWithOptions(html, opts)
+	} else {
+		res, err = htmlparse.ParseReuseContext(ctx, html, opts)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	ps.errors(res.Errors)
+	return res, ps.report(&Page{Result: res}), nil
+}
+
+// CheckParsed runs the rules over an already parsed page. The hook rules
+// and the signals replay the page's recorded tag trace, so the page must
+// come from a parse with htmlparse.Options.RecordTokens set (Parse,
+// ParseReuse and ParseFragment* set it); without a trace they see no tags
+// and report nothing.
 func (c *Checker) CheckParsed(p *Page) *Report {
-	return c.runRules(p.URL, computeSignals(p), func(_ int, r Rule) []Finding {
-		return r.Check(p)
-	})
+	ps := c.newPass()
+	for i := range p.Tokens {
+		ps.tag(&p.Tokens[i])
+	}
+	ps.errors(p.Errors)
+	return ps.report(p)
 }
 
 // CheckStream tokenizes without tree construction and runs the streaming
@@ -273,18 +370,7 @@ const cancelStride = 512
 // checkTokenStream is the single streaming implementation; ctx may be
 // nil for the uncancellable path (no polling, no overhead).
 func (c *Checker) checkTokenStream(ctx context.Context, ts *htmlparse.TokenStream) (*Report, error) {
-	streams := make([]RuleStream, len(c.rules))
-	found := make([][]Finding, len(c.rules))
-	emits := make([]func(Finding), len(c.rules))
-	for i, r := range c.rules {
-		if r.Stream == nil {
-			continue
-		}
-		streams[i] = r.Stream()
-		i := i
-		emits[i] = func(f Finding) { found[i] = append(found[i], f) }
-	}
-	var sig Signals
+	ps := c.newPass()
 	// One token variable for the whole loop: its address is passed to
 	// opaque hook funcs, so it escapes — once per document, not per token.
 	var t htmlparse.Token
@@ -302,49 +388,19 @@ func (c *Checker) checkTokenStream(ctx context.Context, ts *htmlparse.TokenStrea
 		if t.Type == htmlparse.EOFToken {
 			break
 		}
-		if t.Type != htmlparse.StartTagToken && t.Type != htmlparse.EndTagToken {
-			continue
-		}
-		if t.Type == htmlparse.StartTagToken {
-			sig.observe(&t)
-		}
-		for i := range streams {
-			if streams[i].Token != nil {
-				streams[i].Token(&t, emits[i])
-			}
+		if t.Type == htmlparse.StartTagToken || t.Type == htmlparse.EndTagToken {
+			ps.tag(&t)
 		}
 	}
-	for _, e := range ts.Errors() {
-		for i := range streams {
-			if streams[i].Error != nil {
-				streams[i].Error(e, emits[i])
-			}
-		}
-	}
-	return c.runRules("", sig, func(i int, _ Rule) []Finding { return found[i] }), nil
+	ps.errors(ts.Errors())
+	return ps.report(nil), nil
 }
 
-func computeSignals(p *Page) Signals {
-	var s Signals
-	for i := range p.Tokens {
-		if p.Tokens[i].Type == htmlparse.StartTagToken {
-			s.observe(&p.Tokens[i])
-		}
-	}
-	if p.Doc != nil && !s.UsesMath {
-		s.UsesMath = p.Doc.Find(func(n *htmlparse.Node) bool {
-			return n.Type == htmlparse.ElementNode && n.Data == "math"
-		}) != nil
-	}
-	return s
-}
-
-// observe folds one start tag into the signals. The streaming checker
-// calls this once per tag as it goes; computeSignals replays the recorded
-// token slice of a full parse through it, so both modes measure signals
-// with the same code.
+// observe folds one start tag into the signals. Every mode calls it once
+// per start tag through pass.tag, so all modes measure signals with the
+// same code.
 //
-//hv:hotpath runs once per start tag on the constant-memory streaming path
+//hv:hotpath runs once per start tag on every checking path
 func (s *Signals) observe(t *htmlparse.Token) {
 	switch t.Data {
 	case "math":

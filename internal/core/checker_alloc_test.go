@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
 // streamAllocDoc builds a well-formed lowercase document of roughly `paras`
@@ -44,6 +46,36 @@ func TestCheckStreamAllocsFlat(t *testing.T) {
 	big := allocs(streamAllocDoc(500))
 	if big > base+4 {
 		t.Errorf("CheckStream allocations scale with input: %.1f allocs at 1x, %.1f at 10x", base, big)
+	}
+}
+
+// TestCheckOnePassAllocsFlat extends the flat-allocations bound to the
+// one-pass tree check: the tree itself allocates with the input, so the
+// bound is on what Check adds to a bare pooled parse (hook state, findings,
+// the report). Recording and replaying a token slice would grow that
+// overhead with the tag count, as would a per-tag allocation in the hook.
+func TestCheckOnePassAllocsFlat(t *testing.T) {
+	c := NewChecker()
+	overhead := func(doc []byte) float64 {
+		if _, err := c.Check(doc); err != nil {
+			t.Fatal(err)
+		}
+		check := testing.AllocsPerRun(50, func() {
+			if _, err := c.Check(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		parse := testing.AllocsPerRun(50, func() {
+			if _, err := htmlparse.ParseReuseWithOptions(doc, htmlparse.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return check - parse
+	}
+	base := overhead(streamAllocDoc(50))
+	big := overhead(streamAllocDoc(500))
+	if big > base+2 {
+		t.Errorf("Check's allocations over the parse scale with input: %.1f at 1x, %.1f at 10x", base, big)
 	}
 }
 

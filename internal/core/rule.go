@@ -56,23 +56,26 @@ type Rule struct {
 	// TreeRequired is false for rules decidable from the tokenizer alone
 	// (used by the streaming checker and the ablation benchmarks).
 	TreeRequired bool
-	// Check inspects one parsed page and returns all findings.
+	// Check inspects one parsed page and returns all findings. Only rules
+	// without Stream use it: the checker runs it over the finished parse.
 	Check func(p *Page) []Finding
 	// Stream, set on every TreeRequired=false rule, returns fresh
-	// per-document streaming state. The streaming checker drives the hooks
-	// directly off the tokenizer so no token slice is ever materialized;
-	// Check and Stream must agree finding-for-finding (the stream≡tree
-	// metamorphic invariant), which the catalogue guarantees by deriving
-	// both from one shared hook (see tokenFindings / errorStream).
+	// per-document hook state. A rule that has Stream is always driven
+	// through its hooks, in every mode — live from the tree builder's tag
+	// hook (Checker.Check, CheckTree), replayed from a recorded token
+	// trace (CheckParsed) or off the bare tokenizer (CheckStream) — and
+	// its Check, if any, is never called. One implementation per rule is
+	// what keeps the modes from drifting (the stream≡tree invariant).
 	Stream func() RuleStream
 }
 
-// RuleStream is the per-document state of one streaming rule. Hooks are
+// RuleStream is the per-document state of one hook rule. Hooks are
 // optional; a nil hook is skipped. The checker calls Token for every start
 // and end tag in document order (the token — including its attribute
 // array — is only valid for the duration of the call), then Error once
-// per parse error after the stream drains. Hooks append via emit and must
-// keep O(1) state of their own so the whole pass stays constant-memory.
+// per parse error after the document is parsed. Hooks append via emit and
+// must keep O(1) state of their own so the streaming pass stays
+// constant-memory.
 type RuleStream struct {
 	Token func(t *htmlparse.Token, emit func(Finding))
 	Error func(e htmlparse.ParseError, emit func(Finding))
@@ -151,37 +154,13 @@ func GroupOf(id string) Group {
 	return ""
 }
 
-// errorFindings converts every parse error with the given code into a
-// finding for the rule.
-func errorFindings(p *Page, id string, code htmlparse.ErrorCode) []Finding {
-	var out []Finding
-	for _, e := range p.ErrorsByCode(code) {
-		out = append(out, Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
-	}
-	return out
-}
-
-// tokenFindings replays the recorded token slice of a full parse through a
-// streaming token hook — the bridge that lets a streaming rule's single
-// implementation serve the tree path too, so the two modes cannot drift.
-func tokenFindings(p *Page, hook func(*htmlparse.Token, func(Finding))) []Finding {
-	var out []Finding
-	emit := func(f Finding) { out = append(out, f) }
-	for i := range p.Tokens {
-		hook(&p.Tokens[i], emit)
-	}
-	return out
-}
-
 // tokenStream wraps a stateless per-token hook as a Stream constructor.
 func tokenStream(hook func(*htmlparse.Token, func(Finding))) func() RuleStream {
 	return func() RuleStream { return RuleStream{Token: hook} }
 }
 
 // errorStream builds the Stream hook of a rule whose findings are exactly
-// the parse errors carrying one code — the streaming counterpart of
-// errorFindings (both stages report a given code in the same relative
-// order, so the two paths yield identical finding sequences).
+// the parse errors carrying one code.
 func errorStream(id string, code htmlparse.ErrorCode) func() RuleStream {
 	return func() RuleStream {
 		return RuleStream{Error: func(e htmlparse.ParseError, emit func(Finding)) {

@@ -72,7 +72,6 @@ var ruleDE3_1 = Rule{
 	ID: "DE3_1", Name: "Non-terminated HTML: dangling markup URL",
 	Doc:   "Classic dangling markup: a URL attribute left unterminated absorbs the following markup, and the browser sends it to the attacker's origin as part of the URL. Recognized by a newline plus '<' inside a URL — exactly what Chromium blocks since 2017 (paper §3.2.2, §4.5).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check:  func(p *Page) []Finding { return tokenFindings(p, de31Token) },
 	Stream: tokenStream(de31Token),
 }
 
@@ -101,7 +100,6 @@ var ruleDE3_2 = Rule{
 	ID: "DE3_2", Name: "Non-terminated HTML: script-in-attribute (nonce stealing)",
 	Doc:   "CSP nonce stealing: an unterminated attribute absorbs a following <script> tag, so its nonce now authorizes the attacker's script element. Recognized by the literal string '<script' inside an attribute value (paper Figure 2).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check:  func(p *Page) []Finding { return tokenFindings(p, de32Token) },
 	Stream: tokenStream(de32Token),
 }
 
@@ -127,7 +125,6 @@ var ruleDE3_3 = Rule{
 	ID: "DE3_3", Name: "Non-terminated HTML: unclosed target attribute",
 	Doc:   "Window-name exfiltration: an unterminated target attribute absorbs following content; window names survive cross-origin navigation, so the next click hands the content to the attacker (paper Figure 5).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check:  func(p *Page) []Finding { return tokenFindings(p, de33Token) },
 	Stream: tokenStream(de33Token),
 }
 

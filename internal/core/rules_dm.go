@@ -116,8 +116,5 @@ var ruleDM3 = Rule{
 	Doc:   "Duplicate attribute names: the parser keeps the first occurrence, so an injection placed before benign attributes overrides event handlers, ids, and classes (paper §3.2.2, Figure 14).",
 	Group: DataManipulation, Category: ParsingError,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		return errorFindings(p, "DM3", htmlparse.ErrDuplicateAttribute)
-	},
-	Stream: errorStream("DM3", htmlparse.ErrDuplicateAttribute),
+	Stream:      errorStream("DM3", htmlparse.ErrDuplicateAttribute),
 }

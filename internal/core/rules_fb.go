@@ -16,10 +16,7 @@ var ruleFB1 = Rule{
 	Doc:   "A solidus between attributes is treated as whitespace, so filters that block spaces are bypassed with <img/src=x/onerror=...> (paper §3.2.2).",
 	Group: FilterBypass, Category: ParsingError,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		return errorFindings(p, "FB1", htmlparse.ErrUnexpectedSolidusInTag)
-	},
-	Stream: errorStream("FB1", htmlparse.ErrUnexpectedSolidusInTag),
+	Stream:      errorStream("FB1", htmlparse.ErrUnexpectedSolidusInTag),
 }
 
 // ruleFB2 detects attributes concatenated without whitespace:
@@ -30,8 +27,5 @@ var ruleFB2 = Rule{
 	Doc:   "Attributes glued together without whitespace are silently separated, the other standard space-filter bypass (paper §3.2.2).",
 	Group: FilterBypass, Category: ParsingError,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		return errorFindings(p, "FB2", htmlparse.ErrMissingWhitespaceBetweenAttributes)
-	},
-	Stream: errorStream("FB2", htmlparse.ErrMissingWhitespaceBetweenAttributes),
+	Stream:      errorStream("FB2", htmlparse.ErrMissingWhitespaceBetweenAttributes),
 }

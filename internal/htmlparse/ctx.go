@@ -39,10 +39,10 @@ func ParseReuseContext(ctx context.Context, b []byte, opts Options) (*Result, er
 	if aerr := p.tb.abort; aerr != nil {
 		// The partial tree is abandoned with the arena; only scratch
 		// returns to the pool, exactly as after a completed parse.
-		parserPool.Put(p)
+		p.release()
 		return nil, aerr
 	}
 	res := assemble(pre, &p.z, &p.tb, p.tb.doc)
-	parserPool.Put(p)
+	p.release()
 	return res, nil
 }

@@ -173,6 +173,39 @@ var svgTagAdjustments = map[string]string{
 	"textpath":            "textPath",
 }
 
+// adjustAttrNames renames t's attributes through adjust (the SVG and
+// MathML case adjustments). The attribute array is shared with the
+// recorded token trace, which must keep the tokenizer's names, so it is
+// copied before the first rename — and only when a rename applies.
+func adjustAttrNames(t *Token, adjust func(name string) (string, bool)) {
+	copied := false
+	for i := range t.Attr {
+		adj, ok := adjust(t.Attr[i].Name)
+		if !ok {
+			continue
+		}
+		if !copied {
+			t.Attr = append([]Attribute(nil), t.Attr...)
+			copied = true
+		}
+		t.Attr[i].Name = adj
+	}
+}
+
+// mathMLAttrName is the spec's "adjust MathML attributes" table.
+func mathMLAttrName(name string) (string, bool) {
+	if name == "definitionurl" {
+		return "definitionURL", true
+	}
+	return "", false
+}
+
+// svgAttrName is the spec's "adjust SVG attributes" table.
+func svgAttrName(name string) (string, bool) {
+	adj, ok := svgAttrAdjustments[name]
+	return adj, ok
+}
+
 // svgAttrAdjustments restores the canonical mixed-case SVG attribute
 // names (spec "adjust SVG attributes").
 var svgAttrAdjustments = map[string]string{

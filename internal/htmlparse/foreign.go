@@ -93,18 +93,10 @@ func (tb *treeBuilder) foreignIM(t *Token) bool {
 			if adj, ok := svgTagAdjustments[t.Data]; ok {
 				t.Data = adj
 			}
-			for i := range t.Attr {
-				if adj, ok := svgAttrAdjustments[t.Attr[i].Name]; ok {
-					t.Attr[i].Name = adj
-				}
-			}
+			adjustAttrNames(t, svgAttrName)
 		}
 		if ns == NamespaceMathML {
-			for i := range t.Attr {
-				if t.Attr[i].Name == "definitionurl" {
-					t.Attr[i].Name = "definitionURL"
-				}
-			}
+			adjustAttrNames(t, mathMLAttrName)
 		}
 		tb.insertElement(*t, ns)
 		if t.SelfClosing {

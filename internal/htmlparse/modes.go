@@ -29,10 +29,15 @@ func (tb *treeBuilder) run() {
 			return
 		}
 		t := tb.z.Next()
-		if tb.recordTokens {
-			switch t.Type {
-			case StartTagToken, EndTagToken:
+		if t.Type == StartTagToken || t.Type == EndTagToken {
+			if tb.recordTokens {
 				tb.tokens = append(tb.tokens, t)
+			}
+			if tb.onTag != nil {
+				// The hook gets the builder's own copy: passing &t would
+				// move t to the heap on every iteration.
+				tb.hookTok = t
+				tb.onTag(&tb.hookTok)
 			}
 		}
 		if tb.skipLeadingNewline {
@@ -767,11 +772,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		return true
 	case "math":
 		tb.reconstructAFE()
-		for i := range t.Attr {
-			if t.Attr[i].Name == "definitionurl" {
-				t.Attr[i].Name = "definitionURL"
-			}
-		}
+		adjustAttrNames(t, mathMLAttrName)
 		tb.insertElement(*t, NamespaceMathML)
 		if t.SelfClosing {
 			tb.pop()
@@ -780,11 +781,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		return true
 	case "svg":
 		tb.reconstructAFE()
-		for i := range t.Attr {
-			if adj, ok := svgAttrAdjustments[t.Attr[i].Name]; ok {
-				t.Attr[i].Name = adj
-			}
-		}
+		adjustAttrNames(t, svgAttrName)
 		tb.insertElement(*t, NamespaceSVG)
 		if t.SelfClosing {
 			tb.pop()

@@ -17,10 +17,20 @@ import "sort"
 // Options configures Parse.
 type Options struct {
 	// RecordTokens captures the tag tokens the tokenizer emitted (character
-	// tokens are omitted). The DE3 rules inspect raw attribute values from
-	// this trace, because tokens that the tree builder drops (for example a
-	// nested form) never reach the DOM.
+	// tokens are omitted) in Result.Tokens. Only callers that check the
+	// Result afterwards with core.Checker.CheckParsed need it: the checker
+	// replays the trace through its token hooks there. Checking during
+	// the parse goes through OnTag instead and records nothing.
 	RecordTokens bool
+	// OnTag, when set, is called with every start and end tag the tree
+	// builder takes from the tokenizer — exactly the tags RecordTokens
+	// records, at the same point: before tree construction acts on the
+	// tag, so the hook sees the tokenizer's attribute names and tags the
+	// tree builder later drops (a nested form) alike. The token and its
+	// attribute array are only valid for the duration of the call and
+	// must not be modified. A hook that panics aborts the parse; the
+	// pooled parser it ran in is discarded, never recycled.
+	OnTag func(*Token)
 	// MaxTreeDepth, when positive, aborts the parse with
 	// ErrTreeDepthExceeded once the open-element stack exceeds it.
 	// Online serving sets it so adversarial deeply-nested documents
@@ -94,6 +104,7 @@ func ParseWithOptions(b []byte, opts Options) (*Result, error) {
 	z := NewTokenizer(pre.Input)
 	tb := newTreeBuilder(z)
 	tb.recordTokens = opts.RecordTokens
+	tb.onTag = opts.OnTag
 	tb.run()
 	return assemble(pre, z, tb, tb.doc), nil
 }

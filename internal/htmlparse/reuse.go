@@ -61,6 +61,7 @@ func (p *Parser) reset(input []byte, opts Options) {
 		framesetOK:       true,
 		scriptingEnabled: true,
 		recordTokens:     opts.RecordTokens,
+		onTag:            opts.OnTag,
 		stack:            tb.stack[:0],
 		afe:              tb.afe[:0],
 		pendingTableText: tb.pendingTableText[:0],
@@ -91,8 +92,19 @@ func ParseReuseWithOptions(b []byte, opts Options) (*Result, error) {
 	p.reset(pre.Input, opts)
 	p.tb.run()
 	res := assemble(pre, &p.z, &p.tb, p.tb.doc)
-	parserPool.Put(p)
+	p.release()
 	return res, nil
+}
+
+// release returns p to the pool. It is reached only by a parse that
+// returned normally: a panic in the tree builder or an OnTag hook skips
+// it, so a half-run parser is dropped rather than recycled. The hook and
+// its last token are cleared so an idle pooled parser keeps neither the
+// caller's closure nor the page it was parsing alive.
+func (p *Parser) release() {
+	p.tb.onTag = nil
+	p.tb.hookTok = Token{}
+	parserPool.Put(p)
 }
 
 // ParseFragmentReuse is ParseFragment backed by a pooled parser instance.
@@ -106,6 +118,6 @@ func ParseFragmentReuse(b []byte, context string) (*Result, error) {
 	root := p.tb.setupFragment(context)
 	p.tb.run()
 	res := assemble(pre, &p.z, &p.tb, root)
-	parserPool.Put(p)
+	p.release()
 	return res, nil
 }

@@ -83,6 +83,10 @@ type treeBuilder struct {
 
 	recordTokens bool
 	tokens       []Token
+	// onTag is Options.OnTag; hookTok is the token it is handed, kept in
+	// the builder so the per-tag call does not allocate.
+	onTag   func(*Token)
+	hookTok Token
 
 	// fragment, when non-nil, is the context element of the HTML fragment
 	// parsing algorithm; it stands in for the root as the adjusted current

@@ -85,14 +85,15 @@ func (d *Diff) Failures() []Delta {
 // movement; negative is faster.
 func (d *Diff) Markdown() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "| benchmark | old ns/op | new ns/op | delta | MB/s | allocs/op | verdict |\n")
-	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|---|\n")
+	fmt.Fprintf(&b, "| benchmark | old ns/op | new ns/op | delta | MB/s | B/op | allocs/op | verdict |\n")
+	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, dl := range d.Deltas {
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s |\n",
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s | %s |\n",
 			dl.Name,
 			cellNs(dl.Old), cellNs(dl.New),
 			cellDelta(dl),
 			cellPair(dl.Old.MBPerSec, dl.New.MBPerSec, "%.2f"),
+			cellPair(dl.Old.BytesPerOp, dl.New.BytesPerOp, "%.0f"),
 			cellPair(dl.Old.AllocsPerOp, dl.New.AllocsPerOp, "%.0f"),
 			string(dl.Verdict))
 	}

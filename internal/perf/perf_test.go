@@ -189,20 +189,20 @@ func TestCompareOneSided(t *testing.T) {
 // format changes deliberately, not by accident.
 func TestMarkdownGolden(t *testing.T) {
 	base := &Run{Benchmarks: map[string]Metrics{
-		"BenchmarkParse/typical": {NsPerOp: 18000000, MBPerSec: 13.40, AllocsPerOp: 17225},
+		"BenchmarkParse/typical": {NsPerOp: 18000000, MBPerSec: 13.40, BytesPerOp: 5412000, AllocsPerOp: 17225},
 		"BenchmarkGone":          {NsPerOp: 500},
 	}}
 	cur := &Run{Benchmarks: map[string]Metrics{
-		"BenchmarkParse/typical": {NsPerOp: 11850934, MBPerSec: 20.44, AllocsPerOp: 2049},
+		"BenchmarkParse/typical": {NsPerOp: 11850934, MBPerSec: 20.44, BytesPerOp: 2913403, AllocsPerOp: 2049},
 		"BenchmarkNew":           {NsPerOp: 750, MBPerSec: 1.25},
 	}}
 	got := Compare(base, cur, 0.10).Markdown()
 	want := strings.Join([]string{
-		"| benchmark | old ns/op | new ns/op | delta | MB/s | allocs/op | verdict |",
-		"|---|---:|---:|---:|---:|---:|---|",
-		"| BenchmarkGone | 500 | — | — | — | — | missing |",
-		"| BenchmarkParse/typical | 18000000 | 11850934 | -34.2% | 13.40 → 20.44 | 17225 → 2049 | faster |",
-		"| BenchmarkNew | — | 750 | — | 1.25 | — | added |",
+		"| benchmark | old ns/op | new ns/op | delta | MB/s | B/op | allocs/op | verdict |",
+		"|---|---:|---:|---:|---:|---:|---:|---|",
+		"| BenchmarkGone | 500 | — | — | — | — | — | missing |",
+		"| BenchmarkParse/typical | 18000000 | 11850934 | -34.2% | 13.40 → 20.44 | 5412000 → 2913403 | 17225 → 2049 | faster |",
+		"| BenchmarkNew | — | 750 | — | 1.25 | — | — | added |",
 		"",
 	}, "\n")
 	if got != want {

@@ -15,8 +15,8 @@
 //
 // All primitives come from internal/resilience; the checker runs on
 // the constant-memory streaming path whenever its rule set allows
-// (core.Checker.NeedsTree) and on a depth-capped pooled tree parse
-// otherwise.
+// (core.Checker.NeedsTree) and otherwise on one depth-capped pooled
+// tree parse that checks as it goes (core.Checker.CheckTree).
 package serve
 
 import (
@@ -345,9 +345,10 @@ func (s *Server) writeCheckError(w http.ResponseWriter, r *http.Request, err err
 
 // check runs the document through the checker with panic isolation.
 // The streaming path is taken whenever the rule set permits; otherwise
-// a depth-capped pooled tree parse. A panic in a rule or the parser is
-// confined to this request: the recover converts it to an error, and
-// the deferred pool release in the caller still runs.
+// a depth-capped pooled tree parse with the rules hooked into it. A
+// panic in a rule or the parser is confined to this request: the
+// recover converts it to an error, and the deferred pool release in the
+// caller still runs.
 func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, mode string, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -359,14 +360,8 @@ func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, mode
 		rep, err = s.checker.CheckStreamContext(ctx, body)
 		return rep, "stream", err
 	}
-	res, err := htmlparse.ParseReuseContext(ctx, body, htmlparse.Options{
-		RecordTokens: true,
-		MaxTreeDepth: s.cfg.MaxTreeDepth,
-	})
-	if err != nil {
-		return nil, "tree", err
-	}
-	return s.checker.CheckParsed(&core.Page{Result: res}), "tree", nil
+	_, rep, err = s.checker.CheckTree(ctx, body, s.cfg.MaxTreeDepth)
+	return rep, "tree", err
 }
 
 // AppliedFix is one verified repair action in a FixResponse.

@@ -1,7 +1,6 @@
 package warc
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -59,11 +58,23 @@ func splitURL(rawURL string) (host, path string) {
 }
 
 // ParseHTTPResponse splits a response block into status, headers, body.
+// The body is a subslice of block, not a copy: a decoded record owns its
+// block, so the response can share it.
 func ParseHTTPResponse(block []byte) (*HTTPResponse, error) {
-	br := bufio.NewReader(bytes.NewReader(block))
-	statusLine, err := readLine(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: http status line: %v", ErrMalformed, err)
+	// The header section runs to the first empty line (or the end of the
+	// block); it is converted to a string once and parsed from that.
+	end := 0
+	for first := true; end < len(block); first = false {
+		line, next := nextLine(block, end)
+		end = next
+		if !first && len(bytes.TrimRight(line, "\r\n")) == 0 {
+			break
+		}
+	}
+	head := string(block[:end])
+	statusLine, head, ok := cutLine(head)
+	if !ok {
+		return nil, fmt.Errorf("%w: http status line: %v", ErrMalformed, io.EOF)
 	}
 	parts := strings.SplitN(statusLine, " ", 3)
 	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
@@ -73,19 +84,14 @@ func ParseHTTPResponse(block []byte) (*HTTPResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: http status code %q", ErrMalformed, parts[1])
 	}
-	resp := &HTTPResponse{StatusCode: code}
+	resp := &HTTPResponse{StatusCode: code, Body: block[end:]}
 	if len(parts) == 3 {
 		resp.Status = parts[2]
 	}
 	for {
-		line, err := readLine(br)
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		if line == "" {
+		var line string
+		line, head, ok = cutLine(head)
+		if !ok || line == "" {
 			break
 		}
 		name, value, ok := strings.Cut(line, ":")
@@ -94,12 +100,26 @@ func ParseHTTPResponse(block []byte) (*HTTPResponse, error) {
 		}
 		resp.Headers.Set(strings.TrimSpace(name), strings.TrimSpace(value))
 	}
-	body, err := io.ReadAll(br)
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = body
 	return resp, nil
+}
+
+// nextLine returns the line of b starting at i, terminator included, and
+// the index just past it — the unit bufio's ReadString('\n') reads.
+func nextLine(b []byte, i int) (line []byte, next int) {
+	if j := bytes.IndexByte(b[i:], '\n'); j >= 0 {
+		return b[i : i+j+1], i + j + 1
+	}
+	return b[i:], len(b)
+}
+
+// cutLine splits the first line off s with readLine's semantics: CR and
+// LF are trimmed from its end, and ok is false only when s is empty.
+func cutLine(s string) (line, rest string, ok bool) {
+	if s == "" {
+		return "", "", false
+	}
+	line, rest, _ = strings.Cut(s, "\n")
+	return strings.TrimRight(line, "\r\n"), rest, true
 }
 
 func statusText(code int) string {

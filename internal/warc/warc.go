@@ -8,6 +8,7 @@ package warc
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -245,8 +247,19 @@ func (w *Writer) Write(r *Record) (offset, length int64, err error) {
 
 // Reader reads records sequentially from a WARC stream, transparently
 // handling per-record gzip members.
+//
+// The per-member decoding state — the gzip reader with its flate window
+// and the line reader over the decompressed bytes — lives in the Reader
+// and is Reset for every member instead of being allocated afresh, so
+// reading a long run of small records costs one record's allocations
+// each, not a decoder's. ReadRecordAt borrows pooled Readers for the
+// same reason; both paths decode through member and readRecord.
 type Reader struct {
-	br *bufio.Reader
+	br *bufio.Reader // the sequential stream; nil in a pooled ReadRecordAt reader
+
+	gz   gzip.Reader   // reused across members; Reset per member
+	lr   *bufio.Reader // line reader over the current member (or plain range)
+	data bytes.Reader  // the byte range ReadRecordAt decodes
 }
 
 // NewReader returns a Reader over r.
@@ -263,26 +276,46 @@ func (r *Reader) Next() (*Record, error) {
 		}
 		return nil, err
 	}
-	if peek[0] == 0x1f && peek[1] == 0x8b {
-		gz, err := gzip.NewReader(r.br)
-		if err != nil {
-			return nil, err
-		}
-		gz.Multistream(false)
-		rec, err := readRecord(bufio.NewReader(gz))
-		if err != nil {
-			return nil, err
-		}
-		// Drain the member so the next Peek lands on the next gzip header.
-		if _, err := io.Copy(io.Discard, gz); err != nil {
-			return nil, err
-		}
-		if err := gz.Close(); err != nil {
-			return nil, err
-		}
-		return rec, nil
+	if isGzip(peek) {
+		return r.member(r.br)
 	}
 	return readRecord(r.br)
+}
+
+func isGzip(b []byte) bool { return len(b) >= 2 && b[0] == 0x1f && b[1] == 0x8b }
+
+// member decodes the gzip member at the head of src and drains it, so
+// the next read of src lands on whatever follows the member. The reused
+// gzip and line readers are Reset first; a member that failed to decode
+// leaves no state behind that the next Reset does not discard.
+func (r *Reader) member(src flate.Reader) (*Record, error) {
+	if err := r.gz.Reset(src); err != nil {
+		return nil, err
+	}
+	r.gz.Multistream(false)
+	rec, err := readRecord(r.lines(&r.gz))
+	if err != nil {
+		return nil, err
+	}
+	// Drain the member so the next Peek lands on the next gzip header
+	// (and so its CRC and size trailer are verified).
+	if _, err := io.Copy(io.Discard, &r.gz); err != nil {
+		return nil, err
+	}
+	if err := r.gz.Close(); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// lines points the reused line reader at src.
+func (r *Reader) lines(src io.Reader) *bufio.Reader {
+	if r.lr == nil {
+		r.lr = bufio.NewReader(src)
+	} else {
+		r.lr.Reset(src)
+	}
+	return r.lr
 }
 
 // ReadAll drains the stream into a slice of records.
@@ -300,13 +333,36 @@ func (r *Reader) ReadAll() ([]*Record, error) {
 	}
 }
 
+// readerPool holds the Readers ReadRecordAt decodes with. A pooled
+// Reader keeps only its gzip state and line buffer (about 45 KB), never
+// the decoded record, which is freshly allocated and owned by the caller.
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
+
 // ReadRecordAt decodes the single record stored at data[offset:offset+length]
 // — how a Common Crawl client materializes one page from an S3 range read.
+// It returns exactly what NewReader(bytes.NewReader(range)).Next() would,
+// through a pooled Reader.
 func ReadRecordAt(data []byte, offset, length int64) (*Record, error) {
 	if offset < 0 || length <= 0 || offset+length > int64(len(data)) {
 		return nil, fmt.Errorf("%w: range [%d,%d) outside %d bytes", ErrMalformed, offset, offset+length, len(data))
 	}
-	return NewReader(bytes.NewReader(data[offset : offset+length])).Next()
+	r := readerPool.Get().(*Reader)
+	rec, err := r.recordAt(data[offset : offset+length])
+	r.data.Reset(nil) // do not pin the caller's buffer in the pool
+	readerPool.Put(r)
+	return rec, err
+}
+
+// recordAt decodes the first record of b, gzip member or plain.
+func (r *Reader) recordAt(b []byte) (*Record, error) {
+	r.data.Reset(b)
+	if len(b) < 2 {
+		return nil, io.EOF // what Next's two-byte Peek reports
+	}
+	if isGzip(b) {
+		return r.member(&r.data)
+	}
+	return readRecord(r.lines(&r.data))
 }
 
 func readRecord(br *bufio.Reader) (*Record, error) {
@@ -343,8 +399,7 @@ func readRecord(br *bufio.Reader) (*Record, error) {
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("%w: content-length %q", ErrMalformed, rec.Headers.Get(HeaderContentLength))
 	}
-	rec.Block = make([]byte, n)
-	if _, err := io.ReadFull(br, rec.Block); err != nil {
+	if rec.Block, err = readBlock(br, n); err != nil {
 		return nil, fmt.Errorf("%w: block: %v", ErrMalformed, err)
 	}
 	// Trailing CRLF CRLF (tolerated if absent at EOF).
@@ -359,6 +414,33 @@ func readRecord(br *bufio.Reader) (*Record, error) {
 		}
 	}
 	return rec, nil
+}
+
+// blockChunk is the largest block readBlock allocates in one piece on
+// the declared Content-Length alone.
+const blockChunk = 1 << 20
+
+// readBlock reads the n-byte content block. The declared length is
+// untrusted input: up to blockChunk it is allocated at once, and beyond
+// that the block grows only as bytes actually arrive, so a record that
+// claims gigabytes it does not have fails without reserving them. Errors
+// follow io.ReadFull: io.EOF if nothing was read, io.ErrUnexpectedEOF if
+// the block is short.
+func readBlock(r io.Reader, n int64) ([]byte, error) {
+	if n <= blockChunk {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(blockChunk)
+	if _, err := io.CopyN(&buf, r, n); err != nil {
+		if err == io.EOF && buf.Len() > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 func readLine(br *bufio.Reader) (string, error) {
