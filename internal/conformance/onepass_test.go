@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/hvscan/hvscan/internal/core"
+	"github.com/hvscan/hvscan/internal/corpus"
 	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
@@ -67,6 +68,37 @@ func treeAgreement(input []byte) (*core.Report, error) {
 	return oneRep, nil
 }
 
+// scopedAgreement checks a, then b, then a again with Check on one
+// goroutine — each check builds its tree in the node slabs the one
+// before gave back to the pooled parser — and holds every report to
+// CheckTree's, finding for finding. Input outside the UTF-8 domain is
+// skipped.
+func scopedAgreement(a, b []byte) error {
+	full := core.NewChecker()
+	docs := [][]byte{a, b, a}
+	want := make([]*core.Report, len(docs))
+	for i, d := range docs {
+		_, rep, err := full.CheckTree(context.Background(), d, 0)
+		if err == htmlparse.ErrNotUTF8 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		want[i] = rep
+	}
+	for i, d := range docs {
+		got, err := full.Check(d)
+		if err != nil {
+			return err
+		}
+		if diff := diffReports(got, want[i]); diff != "" {
+			return fmt.Errorf("A/B/A check %d (A=%q, B=%q): scoped Check vs CheckTree: %s", i, a, b, diff)
+		}
+	}
+	return nil
+}
+
 // streamAgreement checks that the streaming rules' findings in the
 // one-pass report rep equal CheckStream's, finding for finding.
 func streamAgreement(input []byte, rep *core.Report) error {
@@ -90,9 +122,23 @@ func streamAgreement(input []byte, rep *core.Report) error {
 }
 
 // TestOnePassAgreementOnCorpus runs onePassAgreement over every
-// tree-construction and tokenizer case of the checked-in corpus.
+// tree-construction and tokenizer case of the checked-in corpus, and
+// scopedAgreement over every pair of consecutive cases.
 func TestOnePassAgreementOnCorpus(t *testing.T) {
 	n := 0
+	var prev []byte
+	check := func(id string, input []byte) {
+		if err := onePassAgreement(input); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+		if prev != nil {
+			if err := scopedAgreement(prev, input); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}
+		prev = input
+		n++
+	}
 	for _, dir := range []string{
 		"testdata/tree-construction",
 		filepath.Join("..", "htmlparse", "testdata", "tree-construction"),
@@ -107,10 +153,7 @@ func TestOnePassAgreementOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range cases {
-				if err := onePassAgreement([]byte(cases[i].Data)); err != nil {
-					t.Errorf("%s: %v", cases[i].ID(), err)
-				}
-				n++
+				check(cases[i].ID(), []byte(cases[i].Data))
 			}
 		}
 	}
@@ -124,14 +167,39 @@ func TestOnePassAgreementOnCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range cases {
-			if err := onePassAgreement([]byte(cases[i].Input)); err != nil {
-				t.Errorf("%s: %v", cases[i].ID(), err)
-			}
-			n++
+			check(cases[i].ID(), []byte(cases[i].Input))
 		}
 	}
 	if n < 300 {
 		t.Fatalf("corpus shrank to %d cases", n)
+	}
+}
+
+// TestScopedCheckABAOnSnapshot runs scopedAgreement over every pair of
+// consecutive pages of a fixed-seed synthetic snapshot, the pages
+// TestOnePassMatchesReplayOnSnapshot (internal/core) checks one by one.
+func TestScopedCheckABAOnSnapshot(t *testing.T) {
+	g := corpus.New(corpus.Config{Seed: 29, Domains: 150, MaxPages: 4})
+	snap := corpus.Snapshots[6]
+	var prev []byte
+	pages := 0
+	for _, d := range g.Universe() {
+		if !g.Succeeds(d, snap) {
+			continue
+		}
+		for i := 0; i < g.PageCount(d, snap); i++ {
+			body := g.PageHTML(d, snap, i)
+			if prev != nil {
+				if err := scopedAgreement(prev, body); err != nil {
+					t.Fatalf("%s page %d: %v", d, i, err)
+				}
+			}
+			prev = body
+			pages++
+		}
+	}
+	if pages < 200 {
+		t.Fatalf("compared only %d pages", pages)
 	}
 }
 
@@ -164,27 +232,35 @@ func TestRecordedTraceMatchesHook(t *testing.T) {
 	}
 }
 
+// FuzzOnePassAgreement holds the one-pass check to the replay and stream
+// paths on each of two inputs, and the scoped check to CheckTree over
+// A, B, A on one goroutine.
 func FuzzOnePassAgreement(f *testing.F) {
-	for _, s := range metamorphicSeeds {
-		f.Add([]byte(s))
+	var seeds []string
+	seeds = append(seeds, metamorphicSeeds...)
+	seeds = append(seeds, streamAgreementSeeds...)
+	for i, s := range seeds {
+		f.Add([]byte(s), []byte(seeds[(i+1)%len(seeds)]))
 	}
-	for _, s := range streamAgreementSeeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, input []byte) {
-		rep, err := treeAgreement(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep == nil {
-			return
-		}
-		// The stream comparison inherits the streaming mirror's documented
-		// hazards, which StreamTreeAgreement reports.
-		if err := streamAgreement(input, rep); err != nil {
-			if hazard, _ := StreamTreeAgreement(input); !hazard {
-				t.Error(err)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		for _, input := range [][]byte{a, b} {
+			rep, err := treeAgreement(input)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if rep == nil {
+				continue
+			}
+			// The stream comparison inherits the streaming mirror's
+			// documented hazards, which StreamTreeAgreement reports.
+			if err := streamAgreement(input, rep); err != nil {
+				if hazard, _ := StreamTreeAgreement(input); !hazard {
+					t.Error(err)
+				}
+			}
+		}
+		if err := scopedAgreement(a, b); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -262,15 +262,32 @@ func (ps *pass) report(p *Page) *Report {
 	return rep
 }
 
-// Check checks the document in one parse: CheckTree when a configured
-// rule needs the tree, otherwise the constant-memory CheckStream path,
-// which never builds a DOM. It returns htmlparse.ErrNotUTF8 for documents
-// the pipeline must filter (paper §4.1).
-func (c *Checker) Check(html []byte) (*Report, error) {
+// Check is CheckContext with no deadline and no depth cap.
+func (c *Checker) Check(html []byte) (*Report, error) { return c.check(nil, html, 0) }
+
+// CheckContext checks the document in one parse and keeps only the
+// report. When a configured rule needs the tree, the check runs as in
+// CheckTree inside htmlparse.ParseScoped, so the tree's node slabs go
+// back to the pooled parser once the report is built; otherwise it takes
+// the constant-memory CheckStreamContext path, which never builds a DOM
+// (and so has no depth to cap). ctx bounds the check and a positive
+// maxTreeDepth caps the open-element stack; on either abort the error is
+// returned and there is no report. It returns htmlparse.ErrNotUTF8 for
+// documents the pipeline must filter (paper §4.1).
+func (c *Checker) CheckContext(ctx context.Context, html []byte, maxTreeDepth int) (*Report, error) {
+	return c.check(ctx, html, maxTreeDepth)
+}
+
+// check is CheckContext with ctx nil for the uncancellable path.
+func (c *Checker) check(ctx context.Context, html []byte, maxTreeDepth int) (*Report, error) {
 	if !c.needTree {
-		return c.CheckStream(html)
+		return c.CheckStreamContext(ctx, html)
 	}
-	_, rep, err := c.checkTree(nil, html, 0)
+	ps := c.newPass()
+	var rep *Report
+	err := htmlparse.ParseScoped(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}, func(res *htmlparse.Result) {
+		rep = ps.finish(res)
+	})
 	return rep, err
 }
 
@@ -281,27 +298,22 @@ func (c *Checker) Check(html []byte) (*Report, error) {
 // Result, which is returned with the report (the repair engine edits its
 // tree). ctx bounds the parse and a positive maxTreeDepth caps the
 // open-element stack, as in htmlparse.ParseReuseContext; on either abort
-// the error is returned and there is no Result or report.
+// the error is returned and there is no Result or report. A caller that
+// does not keep the Result uses CheckContext.
 func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int) (*htmlparse.Result, *Report, error) {
-	return c.checkTree(ctx, html, maxTreeDepth)
-}
-
-// checkTree is CheckTree with ctx nil for the uncancellable path.
-func (c *Checker) checkTree(ctx context.Context, html []byte, maxTreeDepth int) (*htmlparse.Result, *Report, error) {
 	ps := c.newPass()
-	opts := htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}
-	var res *htmlparse.Result
-	var err error
-	if ctx == nil {
-		res, err = htmlparse.ParseReuseWithOptions(html, opts)
-	} else {
-		res, err = htmlparse.ParseReuseContext(ctx, html, opts)
-	}
+	res, err := htmlparse.ParseReuseContext(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag})
 	if err != nil {
 		return nil, nil, err
 	}
+	return res, ps.finish(res), nil
+}
+
+// finish completes a pass whose tags the parse already fed live: the
+// parse errors go through the error hooks, then the report is built.
+func (ps *pass) finish(res *htmlparse.Result) *Report {
 	ps.errors(res.Errors)
-	return res, ps.report(&Page{Result: res}), nil
+	return ps.report(&Page{Result: res})
 }
 
 // CheckParsed runs the rules over an already parsed page. The hook rules
@@ -345,12 +357,6 @@ func (c *Checker) CheckStreamContext(ctx context.Context, html []byte) (*Report,
 	rep, err := c.checkTokenStream(ctx, ts)
 	ts.Close()
 	return rep, err
-}
-
-// CheckTokenStreamContext is CheckTokenStream bounded by ctx (see
-// CheckStreamContext); the caller still owns closing ts.
-func (c *Checker) CheckTokenStreamContext(ctx context.Context, ts *htmlparse.TokenStream) (*Report, error) {
-	return c.checkTokenStream(ctx, ts)
 }
 
 // CheckTokenStream drives the streaming rules over an open token stream.

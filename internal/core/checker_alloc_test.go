@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,9 +54,10 @@ func TestCheckStreamAllocsFlat(t *testing.T) {
 
 // TestCheckOnePassAllocsFlat extends the flat-allocations bound to the
 // one-pass tree check: the tree itself allocates with the input, so the
-// bound is on what Check adds to a bare pooled parse (hook state, findings,
-// the report). Recording and replaying a token slice would grow that
-// overhead with the tag count, as would a per-tag allocation in the hook.
+// bound is on what Check adds to a bare scoped parse, the parse it runs
+// (hook state, findings, the report). Recording and replaying a token
+// slice would grow that overhead with the tag count, as would a per-tag
+// allocation in the hook.
 func TestCheckOnePassAllocsFlat(t *testing.T) {
 	c := NewChecker()
 	overhead := func(doc []byte) float64 {
@@ -66,7 +70,7 @@ func TestCheckOnePassAllocsFlat(t *testing.T) {
 			}
 		})
 		parse := testing.AllocsPerRun(50, func() {
-			if _, err := htmlparse.ParseReuseWithOptions(doc, htmlparse.Options{}); err != nil {
+			if err := htmlparse.ParseScoped(context.Background(), doc, htmlparse.Options{}, func(*htmlparse.Result) {}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -76,6 +80,54 @@ func TestCheckOnePassAllocsFlat(t *testing.T) {
 	big := overhead(streamAllocDoc(500))
 	if big > base+2 {
 		t.Errorf("Check's allocations over the parse scale with input: %.1f at 1x, %.1f at 10x", base, big)
+	}
+}
+
+// TestCheckBytesPerCall bounds the bytes a warm Check allocates per page,
+// counted from runtime.MemStats.TotalAlloc, so host noise cannot move it:
+// a report-only check gives its tree's node slabs back, and what is left
+// is the page's input buffer, attribute arrays, errors, events and the
+// report. Each call is counted alone and the median taken, because a
+// pooled parser can still be dropped now and then, and a dropped
+// parser's first page pays for fresh scratch and slabs. The bounds hold
+// for the production build; a race-instrumented binary allocates about
+// 7% more in the tokenizer alone, so it skips the gate.
+func TestCheckBytesPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the byte bounds are for the uninstrumented build")
+	}
+	c := NewChecker()
+	for _, tc := range []struct {
+		name  string
+		bound uint64
+	}{
+		{"small", 8_000},
+		{"typical", 250_000},
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "htmlparse", "testdata", "bench", tc.name+".html"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := c.Check(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const calls = 51
+		per := make([]uint64, calls)
+		var before, after runtime.MemStats
+		for i := range per {
+			runtime.ReadMemStats(&before)
+			if _, err := c.Check(data); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			per[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(per)
+		if median := per[calls/2]; median > tc.bound {
+			t.Errorf("%s: Check allocates %d B per page (median of %d), bound %d", tc.name, median, calls, tc.bound)
+		}
 	}
 }
 

@@ -32,17 +32,9 @@ func ParseReuseContext(ctx context.Context, b []byte, opts Options) (*Result, er
 		return nil, err
 	}
 	p := getParser()
-	p.reset(pre.Input, opts)
-	p.tb.cancel = ctx.Err
-	p.tb.maxDepth = opts.MaxTreeDepth
-	p.tb.run()
-	if aerr := p.tb.abort; aerr != nil {
-		// The partial tree is abandoned with the arena; only scratch
-		// returns to the pool, exactly as after a completed parse.
-		p.release()
-		return nil, aerr
-	}
-	res := assemble(pre, &p.z, &p.tb, p.tb.doc)
+	// An aborted parse's partial tree is abandoned with the arena; only
+	// scratch returns to the pool, exactly as after a completed parse.
+	res, err := p.parse(ctx, pre, opts)
 	p.release()
-	return res, nil
+	return res, err
 }

@@ -40,38 +40,51 @@ func onTagInputs(t *testing.T) []string {
 // TestOnTagSeesRecordedTags: the hook is called on exactly the tags
 // RecordTokens records, in the same order and with the same content, on
 // every entry point that takes Options, and its presence does not change
-// the parse.
+// the parse. Each entry point hands its Result to a callback, which is
+// where ParseScoped's Result is valid.
 func TestOnTagSeesRecordedTags(t *testing.T) {
-	entries := map[string]func([]byte, Options) (*Result, error){
-		"ParseWithOptions":      ParseWithOptions,
-		"ParseReuseWithOptions": ParseReuseWithOptions,
-		"ParseReuseContext": func(b []byte, o Options) (*Result, error) {
+	returned := func(parse func([]byte, Options) (*Result, error)) func([]byte, Options, func(*Result)) error {
+		return func(b []byte, o Options, f func(*Result)) error {
+			res, err := parse(b, o)
+			if err == nil {
+				f(res)
+			}
+			return err
+		}
+	}
+	entries := map[string]func([]byte, Options, func(*Result)) error{
+		"ParseReuseWithOptions": returned(ParseReuseWithOptions),
+		"ParseReuseContext": returned(func(b []byte, o Options) (*Result, error) {
 			return ParseReuseContext(context.Background(), b, o)
+		}),
+		"ParseScoped": func(b []byte, o Options, f func(*Result)) error {
+			return ParseScoped(context.Background(), b, o, f)
 		},
 	}
 	for name, parse := range entries {
 		for i, in := range onTagInputs(t) {
-			var seen []string
-			res, err := parse([]byte(in), Options{RecordTokens: true, OnTag: func(tok *Token) {
-				seen = append(seen, tagTrace(tok))
-			}})
-			if err != nil {
-				t.Fatalf("%s input %d: %v", name, i, err)
-			}
-			if len(seen) != len(res.Tokens) {
-				t.Fatalf("%s input %d: hook saw %d tags, trace has %d", name, i, len(seen), len(res.Tokens))
-			}
-			for k := range seen {
-				if want := tagTrace(&res.Tokens[k]); seen[k] != want {
-					t.Fatalf("%s input %d tag %d:\n hook  %s\n trace %s", name, i, k, seen[k], want)
-				}
-			}
 			plain, err := Parse([]byte(in))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := resultFingerprint(t, res), resultFingerprint(t, plain); got != want {
-				t.Fatalf("%s input %d: hooked parse differs:\n%s\nvs\n%s", name, i, got, want)
+			var seen []string
+			err = parse([]byte(in), Options{RecordTokens: true, OnTag: func(tok *Token) {
+				seen = append(seen, tagTrace(tok))
+			}}, func(res *Result) {
+				if len(seen) != len(res.Tokens) {
+					t.Fatalf("%s input %d: hook saw %d tags, trace has %d", name, i, len(seen), len(res.Tokens))
+				}
+				for k := range seen {
+					if want := tagTrace(&res.Tokens[k]); seen[k] != want {
+						t.Fatalf("%s input %d tag %d:\n hook  %s\n trace %s", name, i, k, seen[k], want)
+					}
+				}
+				if got, want := resultFingerprint(t, res), resultFingerprint(t, plain); got != want {
+					t.Fatalf("%s input %d: hooked parse differs:\n%s\nvs\n%s", name, i, got, want)
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s input %d: %v", name, i, err)
 			}
 		}
 	}

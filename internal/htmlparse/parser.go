@@ -14,7 +14,7 @@ package htmlparse
 
 import "sort"
 
-// Options configures Parse.
+// Options configures the pooled parse entry points.
 type Options struct {
 	// RecordTokens captures the tag tokens the tokenizer emitted (character
 	// tokens are omitted) in Result.Tokens. Only callers that check the
@@ -36,7 +36,7 @@ type Options struct {
 	// Online serving sets it so adversarial deeply-nested documents
 	// fail fast instead of growing per-request state with the input;
 	// batch measurement leaves it zero (unlimited). Only honoured by
-	// the context-aware entry points (ParseReuseContext).
+	// the context-aware entry points (ParseReuseContext, ParseScoped).
 	MaxTreeDepth int
 }
 
@@ -92,19 +92,13 @@ func (r *Result) EventsByKind(kind EventKind) []TreeEvent {
 // other malformed input parses successfully with errors recorded in the
 // Result — error tolerance by design.
 func Parse(b []byte) (*Result, error) {
-	return ParseWithOptions(b, Options{RecordTokens: true})
-}
-
-// ParseWithOptions is Parse with explicit options.
-func ParseWithOptions(b []byte, opts Options) (*Result, error) {
 	pre, err := Preprocess(b)
 	if err != nil {
 		return nil, err
 	}
 	z := NewTokenizer(pre.Input)
 	tb := newTreeBuilder(z)
-	tb.recordTokens = opts.RecordTokens
-	tb.onTag = opts.OnTag
+	tb.recordTokens = true
 	tb.run()
 	return assemble(pre, z, tb, tb.doc), nil
 }

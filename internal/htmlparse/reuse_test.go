@@ -1,6 +1,7 @@
 package htmlparse
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,7 +99,9 @@ func TestParseFragmentReuseMatchesParseFragment(t *testing.T) {
 // TestParseReuseParallel hammers the pool from many goroutines while each
 // goroutine keeps validating documents it parsed earlier, so the race
 // detector can see any scratch state leaking between pooled parses and any
-// Result invalidated by a later reset.
+// Result invalidated by a later reset. Scoped parses run in between, each
+// checked inside its callback: the slabs they recycle must never be ones
+// a held Result still uses.
 func TestParseReuseParallel(t *testing.T) {
 	want := make([]string, len(reuseInputs))
 	for i, in := range reuseInputs {
@@ -123,6 +126,20 @@ func TestParseReuseParallel(t *testing.T) {
 					return
 				}
 				held[i] = r
+				k := (i + 5) % len(reuseInputs)
+				var bad error
+				err = ParseScoped(context.Background(), []byte(reuseInputs[k]), Options{RecordTokens: true}, func(r *Result) {
+					if got := resultFingerprint(t, r); got != want[k] {
+						bad = fmt.Errorf("goroutine %d: scoped parse of input %d differs\n--- want ---\n%s\n--- got ---\n%s", g, k, want[k], got)
+					}
+				})
+				if err == nil {
+					err = bad
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
 				// Re-check a document parsed on an earlier iteration: its
 				// nodes and strings must be untouched by later pool reuse.
 				j := (i + 3) % len(reuseInputs)

@@ -34,10 +34,19 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// ErrBreakerOpen is returned by Allow (and Do) while the breaker sheds
-// load. It classifies as retryable: the caller's backoff naturally
-// spaces out re-probes of a recovering backend.
+// ErrBreakerOpen is what Allow (and Do) return while the breaker sheds
+// load, under errors.Is: the shed error also unwraps to the failure that
+// opened the breaker, so a caller that reports the shed reports the
+// backend's fault rather than the breaker. It classifies as retryable:
+// the caller's backoff naturally spaces out re-probes of a recovering
+// backend.
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
+
+// openError is the shed error of a breaker opened by cause.
+type openError struct{ cause error }
+
+func (e *openError) Error() string   { return ErrBreakerOpen.Error() + ": " + e.cause.Error() }
+func (e *openError) Unwrap() []error { return []error{ErrBreakerOpen, e.cause} }
 
 // BreakerConfig tunes a Breaker. The zero value gives sane defaults.
 type BreakerConfig struct {
@@ -70,6 +79,7 @@ type Breaker struct {
 	state    BreakerState
 	failures int       // consecutive retryable failures while closed
 	openedAt time.Time // when the breaker last opened
+	shed     error     // what Allow returns while open: ErrBreakerOpen and its cause
 	probes   int       // in-flight probes while half-open
 }
 
@@ -111,24 +121,24 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 }
 
-// Allow asks whether a call may proceed; it returns ErrBreakerOpen when
-// the call should be shed. Every Allow that returns nil MUST be paired
-// with exactly one Record — the half-open state counts in-flight
-// probes.
+// Allow asks whether a call may proceed; it returns an error matching
+// ErrBreakerOpen when the call should be shed. Every Allow that returns
+// nil MUST be paired with exactly one Record — the half-open state
+// counts in-flight probes.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case StateOpen:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
-			return ErrBreakerOpen
+			return b.shed
 		}
 		b.transition(StateHalfOpen)
 		b.probes = 0
 		fallthrough
 	case StateHalfOpen:
 		if b.probes >= b.cfg.HalfOpenProbes {
-			return ErrBreakerOpen
+			return b.shed
 		}
 		b.probes++
 	}
@@ -151,14 +161,14 @@ func (b *Breaker) Record(err error) {
 		}
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
-			b.open()
+			b.open(err)
 		}
 	case StateHalfOpen:
 		if b.probes > 0 {
 			b.probes--
 		}
 		if failure {
-			b.open()
+			b.open(err)
 			return
 		}
 		b.transition(StateClosed)
@@ -169,8 +179,10 @@ func (b *Breaker) Record(err error) {
 	}
 }
 
-// open trips the breaker; the caller holds the lock.
-func (b *Breaker) open() {
+// open trips the breaker on cause, the retryable failure that tipped
+// it; the caller holds the lock.
+func (b *Breaker) open(cause error) {
+	b.shed = Retryable(&openError{cause: cause})
 	b.transition(StateOpen)
 	b.openedAt = b.cfg.Now()
 	b.failures = 0
@@ -178,7 +190,7 @@ func (b *Breaker) open() {
 }
 
 // Do guards one call: shed if the breaker is open, otherwise run f and
-// record its outcome. The shed error is ErrBreakerOpen.
+// record its outcome. The shed error matches ErrBreakerOpen.
 func (b *Breaker) Do(f func() error) error {
 	if err := b.Allow(); err != nil {
 		return err

@@ -178,3 +178,39 @@ func TestMetricsHooks(t *testing.T) {
 		t.Fatalf("permanent errors = %d, want 1", got)
 	}
 }
+
+// TestBreakerShedCarriesOpeningFailure: the shed error matches
+// ErrBreakerOpen and also unwraps to the failure that opened the breaker,
+// still classifying as retryable. A reopen from half-open carries the
+// failed probe's error instead.
+func TestBreakerShedCarriesOpeningFailure(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Now: clk.now})
+	errFlaky := errors.New("flaky")
+	_ = b.Do(func() error { return errFlaky })
+	_ = b.Do(func() error { return errDown })
+	err := b.Allow()
+	if !errors.Is(err, ErrBreakerOpen) || !errors.Is(err, errDown) {
+		t.Fatalf("shed error %v, want ErrBreakerOpen wrapping the opening failure", err)
+	}
+	if errors.Is(err, errFlaky) {
+		t.Fatalf("shed error %v wraps a failure that did not open the breaker", err)
+	}
+	if c := Classify(err); c != ClassRetryable {
+		t.Fatalf("Classify(shed) = %v, want retryable", c)
+	}
+	if got, want := err.Error(), ErrBreakerOpen.Error()+": "+errDown.Error(); got != want {
+		t.Fatalf("shed message %q, want %q", got, want)
+	}
+
+	clk.advance(time.Minute)
+	errProbe := Retryable(errors.New("probe failed"))
+	_ = b.Do(func() error { return errProbe })
+	err = b.Allow()
+	if !errors.Is(err, ErrBreakerOpen) || !errors.Is(err, errProbe) || errors.Is(err, errDown) {
+		t.Fatalf("after a failed probe the shed error is %v, want ErrBreakerOpen wrapping the probe's failure", err)
+	}
+	if c := Classify(err); c != ClassRetryable {
+		t.Fatalf("Classify(shed after probe) = %v, want retryable", c)
+	}
+}

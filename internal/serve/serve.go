@@ -345,7 +345,8 @@ func (s *Server) writeCheckError(w http.ResponseWriter, r *http.Request, err err
 
 // check runs the document through the checker with panic isolation.
 // The streaming path is taken whenever the rule set permits; otherwise
-// a depth-capped pooled tree parse with the rules hooked into it. A
+// a depth-capped scoped tree parse with the rules hooked into it, whose
+// tree goes back to the parser pool once the report is built. A
 // panic in a rule or the parser is confined to this request: the
 // recover converts it to an error, and the deferred pool release in the
 // caller still runs.
@@ -360,7 +361,7 @@ func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, mode
 		rep, err = s.checker.CheckStreamContext(ctx, body)
 		return rep, "stream", err
 	}
-	_, rep, err = s.checker.CheckTree(ctx, body, s.cfg.MaxTreeDepth)
+	rep, err = s.checker.CheckContext(ctx, body, s.cfg.MaxTreeDepth)
 	return rep, "tree", err
 }
 
