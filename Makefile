@@ -52,15 +52,13 @@ fix-conform-update:
 
 # Metamorphic fuzz smoke: 30s per oracle-free invariant (render→reparse
 # fixpoint, truncation stability, attribute-order invariance, decoder
-# agreement, stream≡tree checker equivalence, one-pass check ≡ replayed
-# check) over the checked-in seed corpora, plus the pooled WARC decoder
-# against a fresh one.
+# agreement, one-pass check ≡ replayed check) over the checked-in seed
+# corpora, plus the pooled WARC decoder against a fresh one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzRenderParseFixpoint$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzTruncationStability$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzAttrReorderInvariance$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzDecoderAgreement$$' -fuzztime=30s ./internal/conformance
-	$(GO) test -run '^$$' -fuzz='^FuzzStreamTreeAgreement$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzFixIdempotence$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzFixMonotonicity$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzOnePassAgreement$$' -fuzztime=30s ./internal/conformance
@@ -112,7 +110,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark run for the perf trajectory across PRs: the
-# parser, streaming-checker, and archive-cache benchmarks folded into the
+# parser, full-check, and archive-cache benchmarks folded into the
 # stable internal/perf schema (min of 5 runs per benchmark, git SHA +
 # date stamped inside the payload), one BENCH_<yyyymmdd>.json per day.
 bench-json:

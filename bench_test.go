@@ -315,18 +315,6 @@ func BenchmarkAblationPerRuleParse(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTokenizerOnly: the streaming subset (no tree
-// construction) against the full check.
-func BenchmarkAblationTokenizerOnly(b *testing.B) {
-	pages := samplePages(16)
-	checker := core.NewStreamingChecker()
-	for i := 0; i < b.N; i++ {
-		if _, err := checker.CheckStream(pages[i%len(pages)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationWarcVsSynthetic: materializing pages through the WARC
 // blob + HTTP-block decode versus straight generation, quantifying what
 // the archive layer costs.

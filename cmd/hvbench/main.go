@@ -1,5 +1,5 @@
 // Command hvbench records and gates the repo's benchmark trajectory:
-// the parser hot path, the streaming checker, the archive cache, the
+// the parser hot path, the full-catalogue check, the archive cache, the
 // WARC fetch-and-decode path, and the serving layer's end-to-end request
 // latency.
 //
@@ -39,7 +39,7 @@ func main() {
 		out       = flag.String("out", "", "output path for -record (default BENCH_<yyyymmdd>.json)")
 		baseline  = flag.String("baseline", "BENCH_baseline.json", "baseline run to gate against")
 		tolerance = flag.Float64("tolerance", 0.10, "relative ns/op regression allowed before the gate fails")
-		benchRe   = flag.String("bench", "^(BenchmarkTokenize|BenchmarkParse|BenchmarkCheckStream|BenchmarkCheckFull|BenchmarkArchiveReadRange|BenchmarkFetchCapture|BenchmarkServeCheck|BenchmarkServeCheckStream)$", "benchmark selection regexp passed to go test")
+		benchRe   = flag.String("bench", "^(BenchmarkTokenize|BenchmarkParse|BenchmarkCheckFull|BenchmarkArchiveReadRange|BenchmarkFetchCapture|BenchmarkServeCheck)$", "benchmark selection regexp passed to go test")
 		pkg       = flag.String("pkg", "./internal/htmlparse,./internal/core,./internal/commoncrawl,./internal/serve", "comma-separated packages whose benchmarks to run")
 		count     = flag.Int("count", 5, "go test -count; the fastest of N runs is kept per benchmark")
 		summary   = flag.String("summary", "", "append the markdown delta table to this file (e.g. $GITHUB_STEP_SUMMARY)")

@@ -55,7 +55,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var (
 		jsonOut = fs.Bool("json", false, "emit findings as JSON lines")
 		rules   = fs.String("rules", "", "comma-separated rule IDs to check (default: all)")
-		stream  = fs.Bool("stream", false, "tokenizer-only mode: skip tree construction (checks FB1/FB2/DM3/DE3_* only)")
 		quiet   = fs.Bool("q", false, "suppress per-finding output; status code only")
 		list    = fs.Bool("list", false, "list the catalogue and exit")
 		verbose = fs.Bool("v", false, "with -list: include the attack description per rule")
@@ -74,26 +73,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	var checker *core.Checker
-	switch {
-	case *rules != "":
-		checker = core.NewChecker(strings.Split(*rules, ",")...)
-	case *stream:
-		checker = core.NewStreamingChecker()
-	default:
-		checker = core.NewChecker()
+	ids, err := core.ParseRuleIDs(*rules)
+	if err != nil {
+		fmt.Fprintf(stderr, "hvcheck: %v\n", err)
+		return 2
 	}
+	checker := core.NewChecker(ids...)
 
 	inputs := fs.Args()
 	exit := 0
 	check := func(name string, data []byte) {
-		var rep *core.Report
-		var err error
-		if *stream {
-			rep, err = checker.CheckStream(data)
-		} else {
-			rep, err = checker.Check(data)
-		}
+		rep, err := checker.Check(data)
 		if err == htmlparse.ErrNotUTF8 {
 			fmt.Fprintf(stderr, "hvcheck: %s: skipped (not UTF-8)\n", name)
 			return

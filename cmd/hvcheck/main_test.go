@@ -78,10 +78,17 @@ func TestCheckRuleFilter(t *testing.T) {
 	}
 }
 
-func TestCheckStreamMode(t *testing.T) {
-	code, out, _ := runCheck(t, `<img/src=x>`, "-stream")
-	if code != 1 || !strings.Contains(out, "FB1") {
-		t.Fatalf("stream: code=%d out=%q", code, out)
+func TestCheckUnknownRule(t *testing.T) {
+	for _, id := range []string{"DE9", "de4"} {
+		code, out, errOut := runCheck(t, `<form><form>`, "-rules", "DE4,"+id)
+		if code != 2 || out != "" || !strings.Contains(errOut, `"`+id+`"`) {
+			t.Errorf("-rules DE4,%s: exit = %d, out %q, stderr %q", id, code, out, errOut)
+		}
+	}
+	// A trailing comma leaves an empty item, which is skipped; DE4 is a
+	// tree rule, which a subset runs like any other.
+	if code, out, _ := runCheck(t, `<form><form>`, "-rules", "DE4,"); code != 1 || !strings.Contains(out, "DE4") {
+		t.Errorf("-rules DE4,: exit = %d, out %q", code, out)
 	}
 }
 

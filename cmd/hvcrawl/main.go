@@ -24,7 +24,7 @@
 //	hvcrawl -out results.jsonl -stats stats.json [-server http://...]
 //	        [-domains 2400 -pages 20 -seed 22] [-workers N] [-snapshots 8]
 //	        [-metrics :9090] [-retries N] [-resume] [-journal path]
-//	        [-max-domain-failures N] [-stream] [-fix] [-cache-mb 64]
+//	        [-max-domain-failures N] [-fix] [-cache-mb 64]
 //
 // With -fix every analyzed page is additionally run through the
 // validated repair engine (internal/autofix); per-snapshot repair
@@ -71,7 +71,6 @@ type options struct {
 	maxFail   int
 	journal   string
 	resume    bool
-	stream    bool
 	fix       bool
 	cacheMB   int
 }
@@ -101,7 +100,6 @@ func main() {
 	flag.IntVar(&o.maxFail, "max-domain-failures", 0, "error budget: failed domains tolerated per snapshot (0 = default of 10%, -1 = unlimited)")
 	flag.StringVar(&o.journal, "journal", "", "resume journal path (default: <out>.journal)")
 	flag.BoolVar(&o.resume, "resume", false, "replay the journal and skip already-completed (crawl, domain) pairs")
-	flag.BoolVar(&o.stream, "stream", false, "check pages with the constant-memory streaming rules only (skips tree-required rules)")
 	flag.BoolVar(&o.fix, "fix", false, "measure machine repairability: run every analyzed page through the validated repair engine and aggregate outcomes per snapshot")
 	flag.IntVar(&o.cacheMB, "cache-mb", 0, "in-memory archive read cache budget in MiB (0 = off)")
 	flag.Parse()
@@ -194,12 +192,7 @@ func run(o options) error {
 	}
 
 	st := store.New().Instrument(reg)
-	checker := core.NewChecker()
-	if o.stream {
-		checker = core.NewStreamingChecker()
-		log.Print("checker: streaming rules only (constant-memory path)")
-	}
-	checker = checker.Instrument(reg)
+	checker := core.NewChecker().Instrument(reg)
 	if o.fix {
 		autofix.Instrument(reg)
 		log.Print("fix: measuring machine repairability of every analyzed page")

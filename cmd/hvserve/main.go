@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	hvserve [-addr :8811] [-stream] [-rules FB1,DE3_1]
+//	hvserve [-addr :8811] [-rules FB1,DE3_1]
 //	        [-max-body-mb 2] [-max-depth 512] [-timeout 2s]
 //	        [-workers 0] [-queue 0] [-tenant-rate 100]
 //	        [-archive-dir DIR | -archive-synthetic] [-drain 30s]
@@ -51,7 +51,6 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8811", "listen address")
-		stream     = flag.Bool("stream", false, "streaming rules only (constant-memory; no tree construction)")
 		rules      = flag.String("rules", "", "comma-separated rule IDs (empty = full catalogue)")
 		maxBodyMB  = flag.Int64("max-body-mb", 2, "request body cap in MiB")
 		maxDepth   = flag.Int("max-depth", 512, "open-element depth cap for tree parses")
@@ -91,11 +90,13 @@ func main() {
 	}
 
 	var checker *core.Checker
-	switch {
-	case *stream:
-		checker = core.NewStreamingChecker()
-	case *rules != "":
-		checker = core.NewChecker(strings.Split(*rules, ",")...)
+	if *rules != "" {
+		ids, err := core.ParseRuleIDs(*rules)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hvserve:", err)
+			os.Exit(2)
+		}
+		checker = core.NewChecker(ids...)
 	}
 	cfg := serve.Config{
 		Checker:             checker,
@@ -128,11 +129,9 @@ func main() {
 	// belong on the same /metrics page as the serve_fix_* series.
 	autofix.Instrument(srv.Registry())
 	if checker == nil {
-		log.Printf("checking with the full catalogue (tree mode)")
-	} else if checker.NeedsTree() {
-		log.Printf("checking %d rules (tree mode)", len(checker.Rules()))
+		log.Printf("checking with the full catalogue")
 	} else {
-		log.Printf("checking %d streaming rules (constant-memory mode)", len(checker.Rules()))
+		log.Printf("checking %d rules", len(checker.Rules()))
 	}
 	log.Printf("listening on %s (drain budget %s)", *addr, *drain)
 	err := serve.Run(ctx, serve.NewHTTPServer(*addr, srv), *drain, srv.BeginDrain)

@@ -219,52 +219,6 @@ func diffRuleHits(a, b map[string]int) string {
 	return strings.Join(diffs, "\n")
 }
 
-// StreamTreeAgreement checks the streaming checker's central invariant:
-// for every TreeRequired=false rule, checking a document off the raw token
-// stream (no tree construction, O(1) state) yields exactly the findings,
-// rule hits, and signals that the full tree-mode check computes from its
-// recorded tokens. This is what licenses the crawler's -stream mode to
-// report paper-comparable numbers for the streaming rule families.
-//
-// hazard reports whether the stream crossed a construct where its
-// tokenizer-feedback mirror is documented as approximate (see
-// htmlparse.TokenStream.Hazard); the fixture corpus must agree even then
-// (the checked-in cases are all exact), while the fuzz target treats
-// hazard+divergence as a skip rather than a failure.
-func StreamTreeAgreement(input []byte) (hazard bool, err error) {
-	res, perr := htmlparse.ParseReuse(input)
-	ts, serr := htmlparse.NewTokenStream(input)
-	if (perr == nil) != (serr == nil) {
-		return false, fmt.Errorf("UTF-8 domain disagreement for %q: tree %v, stream %v", input, perr, serr)
-	}
-	if perr != nil {
-		return false, nil // both reject non-UTF-8 input
-	}
-	defer ts.Close()
-	checker := core.NewStreamingChecker()
-	treeRep := checker.CheckParsed(&core.Page{Result: res})
-	streamRep := checker.CheckTokenStream(ts)
-	hazard = ts.Hazard()
-	if d := diffRuleHits(treeRep.RuleHits, streamRep.RuleHits); d != "" {
-		return hazard, fmt.Errorf("rule hits diverge for %q:\n%s", input, d)
-	}
-	if len(treeRep.Findings) != len(streamRep.Findings) {
-		return hazard, fmt.Errorf("finding counts diverge for %q: tree %d, stream %d",
-			input, len(treeRep.Findings), len(streamRep.Findings))
-	}
-	for i := range treeRep.Findings {
-		if treeRep.Findings[i] != streamRep.Findings[i] {
-			return hazard, fmt.Errorf("finding %d diverges for %q:\n tree   %v\n stream %v",
-				i, input, treeRep.Findings[i], streamRep.Findings[i])
-		}
-	}
-	if treeRep.Signals != streamRep.Signals {
-		return hazard, fmt.Errorf("signals diverge for %q:\n tree   %+v\n stream %+v",
-			input, treeRep.Signals, streamRep.Signals)
-	}
-	return hazard, nil
-}
-
 // win1252 maps bytes 0x80–0x9F to their windows-1252 code points per the
 // WHATWG encoding index (the five unassigned bytes pass through as C1
 // controls, as the spec's index prescribes). Bytes below 0x80 and from

@@ -31,41 +31,57 @@ func diffReports(a, b *core.Report) string {
 	return ""
 }
 
-// onePassAgreement holds the one-pass checker to the replay path and the
-// stream path on one input (see treeAgreement and streamAgreement).
-func onePassAgreement(input []byte) error {
-	rep, err := treeAgreement(input)
-	if err != nil || rep == nil {
-		return err
-	}
-	return streamAgreement(input, rep)
+// onePassSeeds extends the shared metamorphic seeds with the constructs
+// where the tokenizer's content model depends on the tree: raw text in
+// and out of foreign content, integration-point islands, CDATA
+// permission, breakouts, and the suppressing insertion modes.
+var onePassSeeds = []string{
+	"<svg><title>a<b>c</title></svg>",
+	"<svg><script>var a = 1 < 2;</script></svg>",
+	"<svg><![CDATA[<b>raw</b>]]></svg>",
+	"<svg><foreignObject><style>p{}</style></foreignObject></svg>",
+	"<svg><foreignObject><div><svg><title>x</title></svg></div></foreignObject></svg>",
+	"<math><mi><script>1</script></mi></math>",
+	"<math><annotation-xml encoding='text/html'><textarea><p></textarea></annotation-xml></math>",
+	"<math><annotation-xml encoding='x'><textarea><p></textarea></annotation-xml></math>",
+	"<svg><p><style>x</style>",
+	"<svg><font color=red><style>x</style>",
+	"<title/>text<b a=1 a=2>",
+	"<select><script>alert(1)</script></select>",
+	"<select><title>x</title><img src=a onerror=b>",
+	"<select><textarea><p></textarea>",
+	"<select><input><title>x</title>",
+	"<frameset><noframes><p></noframes></frameset>",
+	"<svg><desc><img/src=x/onerror=y></desc></svg>",
+	"<template><style>x</style></template>",
+	"<svg></p><style>x</style>",
+	"<p><svg></p><style>x</style>",
 }
 
-// treeAgreement checks Check ≡ CheckTree ≡ CheckParsed(ParseReuse) for
-// the full catalogue and returns Check's report (nil for input outside
-// the UTF-8 domain). It holds on every input: all three run the same
-// parser.
-func treeAgreement(input []byte) (*core.Report, error) {
+// onePassAgreement checks Check ≡ CheckTree ≡ CheckParsed(ParseReuse) for
+// the full catalogue; input outside the UTF-8 domain must be rejected by
+// both parses. It holds on every input: all three run the same parser.
+func onePassAgreement(input []byte) error {
 	full := core.NewChecker()
 	oneRep, err := full.Check(input)
 	res, perr := htmlparse.ParseReuse(input)
 	if (err == nil) != (perr == nil) {
-		return nil, fmt.Errorf("UTF-8 domain disagreement for %q: Check %v, ParseReuse %v", input, err, perr)
+		return fmt.Errorf("UTF-8 domain disagreement for %q: Check %v, ParseReuse %v", input, err, perr)
 	}
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	if d := diffReports(oneRep, full.CheckParsed(&core.Page{Result: res})); d != "" {
-		return nil, fmt.Errorf("Check vs CheckParsed(ParseReuse) for %q: %s", input, d)
+		return fmt.Errorf("Check vs CheckParsed(ParseReuse) for %q: %s", input, d)
 	}
 	_, treeRep, err := full.CheckTree(context.Background(), input, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d := diffReports(oneRep, treeRep); d != "" {
-		return nil, fmt.Errorf("Check vs CheckTree for %q: %s", input, d)
+		return fmt.Errorf("Check vs CheckTree for %q: %s", input, d)
 	}
-	return oneRep, nil
+	return nil
 }
 
 // scopedAgreement checks a, then b, then a again with Check on one
@@ -95,28 +111,6 @@ func scopedAgreement(a, b []byte) error {
 		if diff := diffReports(got, want[i]); diff != "" {
 			return fmt.Errorf("A/B/A check %d (A=%q, B=%q): scoped Check vs CheckTree: %s", i, a, b, diff)
 		}
-	}
-	return nil
-}
-
-// streamAgreement checks that the streaming rules' findings in the
-// one-pass report rep equal CheckStream's, finding for finding.
-func streamAgreement(input []byte, rep *core.Report) error {
-	streamRep, err := core.NewStreamingChecker().CheckStream(input)
-	if err != nil {
-		return err
-	}
-	// Reports list findings rule by rule in catalogue order, which this
-	// filter keeps.
-	onlyStream := &core.Report{RuleHits: map[string]int{}, Signals: rep.Signals}
-	for _, f := range rep.Findings {
-		if r, _ := core.RuleByID(f.RuleID); !r.TreeRequired {
-			onlyStream.Findings = append(onlyStream.Findings, f)
-			onlyStream.RuleHits[f.RuleID]++
-		}
-	}
-	if d := diffReports(onlyStream, streamRep); d != "" {
-		return fmt.Errorf("Check vs CheckStream for %q: %s", input, d)
 	}
 	return nil
 }
@@ -175,31 +169,51 @@ func TestOnePassAgreementOnCorpus(t *testing.T) {
 	}
 }
 
-// TestScopedCheckABAOnSnapshot runs scopedAgreement over every pair of
-// consecutive pages of a fixed-seed synthetic snapshot, the pages
-// TestOnePassMatchesReplayOnSnapshot (internal/core) checks one by one.
-func TestScopedCheckABAOnSnapshot(t *testing.T) {
+// TestOnePassAgreementSeeds runs onePassAgreement on each seed whose
+// tokenizer content model depends on the tree.
+func TestOnePassAgreementSeeds(t *testing.T) {
+	for _, s := range onePassSeeds {
+		if err := onePassAgreement([]byte(s)); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// snapshotPage is one page of the fixed-seed synthetic snapshot.
+type snapshotPage struct {
+	id   string
+	body []byte
+}
+
+// snapshotPages returns every page of a fixed-seed synthetic snapshot,
+// the pages TestOnePassMatchesReplayOnSnapshot (internal/core) checks one
+// by one.
+func snapshotPages() []snapshotPage {
 	g := corpus.New(corpus.Config{Seed: 29, Domains: 150, MaxPages: 4})
 	snap := corpus.Snapshots[6]
-	var prev []byte
-	pages := 0
+	var pages []snapshotPage
 	for _, d := range g.Universe() {
 		if !g.Succeeds(d, snap) {
 			continue
 		}
 		for i := 0; i < g.PageCount(d, snap); i++ {
-			body := g.PageHTML(d, snap, i)
-			if prev != nil {
-				if err := scopedAgreement(prev, body); err != nil {
-					t.Fatalf("%s page %d: %v", d, i, err)
-				}
-			}
-			prev = body
-			pages++
+			pages = append(pages, snapshotPage{fmt.Sprintf("%s page %d", d, i), g.PageHTML(d, snap, i)})
 		}
 	}
-	if pages < 200 {
-		t.Fatalf("compared only %d pages", pages)
+	return pages
+}
+
+// TestScopedCheckABAOnSnapshot runs scopedAgreement over every pair of
+// consecutive pages of the snapshot.
+func TestScopedCheckABAOnSnapshot(t *testing.T) {
+	pages := snapshotPages()
+	for i := 1; i < len(pages); i++ {
+		if err := scopedAgreement(pages[i-1].body, pages[i].body); err != nil {
+			t.Fatalf("%s: %v", pages[i].id, err)
+		}
+	}
+	if len(pages) < 200 {
+		t.Fatalf("compared only %d pages", len(pages))
 	}
 }
 
@@ -232,31 +246,20 @@ func TestRecordedTraceMatchesHook(t *testing.T) {
 	}
 }
 
-// FuzzOnePassAgreement holds the one-pass check to the replay and stream
-// paths on each of two inputs, and the scoped check to CheckTree over
-// A, B, A on one goroutine.
+// FuzzOnePassAgreement holds the one-pass check to CheckTree and the
+// replay path on each of two inputs, and the scoped check to CheckTree
+// over A, B, A on one goroutine.
 func FuzzOnePassAgreement(f *testing.F) {
 	var seeds []string
 	seeds = append(seeds, metamorphicSeeds...)
-	seeds = append(seeds, streamAgreementSeeds...)
+	seeds = append(seeds, onePassSeeds...)
 	for i, s := range seeds {
 		f.Add([]byte(s), []byte(seeds[(i+1)%len(seeds)]))
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		for _, input := range [][]byte{a, b} {
-			rep, err := treeAgreement(input)
-			if err != nil {
+			if err := onePassAgreement(input); err != nil {
 				t.Fatal(err)
-			}
-			if rep == nil {
-				continue
-			}
-			// The stream comparison inherits the streaming mirror's
-			// documented hazards, which StreamTreeAgreement reports.
-			if err := streamAgreement(input, rep); err != nil {
-				if hazard, _ := StreamTreeAgreement(input); !hazard {
-					t.Error(err)
-				}
 			}
 		}
 		if err := scopedAgreement(a, b); err != nil {

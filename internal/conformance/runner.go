@@ -172,13 +172,6 @@ func (r *Runner) runTree(c *TreeCase) bool {
 		r.record(c.ID(), Fail, strings.Join(problems, "\n"))
 		return false
 	}
-	// The goldens agree; now hold the streaming checker to the same input.
-	// Fixture cases must agree exactly — hazard or not — so every corpus
-	// run re-earns the stream≡tree invariant alongside the tree goldens.
-	if _, aerr := StreamTreeAgreement([]byte(c.Data)); aerr != nil {
-		r.record(c.ID(), Fail, "stream/tree disagreement: "+aerr.Error())
-		return false
-	}
 	r.report.Coverage.RecordNames(gotErrs)
 	r.record(c.ID(), Pass, "")
 	return false

@@ -81,10 +81,6 @@ func (r *Report) OnlyAutoFixable() bool {
 // construct with NewChecker.
 type Checker struct {
 	rules []Rule
-	// needTree records whether any configured rule needs the parse tree.
-	// When false, Check routes through the constant-memory streaming path
-	// and never builds a DOM (the two-phase design of ROADMAP item 5).
-	needTree bool
 	// hits, when instrumented, holds one counter per rule (parallel to
 	// rules); pages counts every document checked. Both stay nil on an
 	// uninstrumented checker, keeping the hot path a nil check.
@@ -92,21 +88,12 @@ type Checker struct {
 	pages *obs.Counter
 }
 
-func newChecker(rs []Rule) *Checker {
-	c := &Checker{rules: rs}
-	for _, r := range rs {
-		if r.TreeRequired || r.Stream == nil {
-			c.needTree = true
-		}
-	}
-	return c
-}
-
 // NewChecker returns a checker over the full catalogue, or over the given
-// subset if rule IDs are passed.
+// subset if rule IDs are passed. IDs not in the catalogue are skipped;
+// ParseRuleIDs validates a user-supplied list first.
 func NewChecker(ids ...string) *Checker {
 	if len(ids) == 0 {
-		return newChecker(Rules())
+		return &Checker{rules: Rules()}
 	}
 	var rs []Rule
 	for _, id := range ids {
@@ -114,7 +101,7 @@ func NewChecker(ids ...string) *Checker {
 			rs = append(rs, r)
 		}
 	}
-	return newChecker(rs)
+	return &Checker{rules: rs}
 }
 
 // NewCheckerWith returns a checker over an explicit rule list —
@@ -122,30 +109,16 @@ func NewChecker(ids ...string) *Checker {
 // tests use it to inject misbehaving rules; embedders use it to run
 // house rules beside the catalogue.
 func NewCheckerWith(rules ...Rule) *Checker {
-	return newChecker(rules)
-}
-
-// NewStreamingChecker returns a checker restricted to rules decidable from
-// the tokenizer alone (no tree construction). Used standalone for cheap
-// scans and by the shared-parse ablation benchmark.
-func NewStreamingChecker() *Checker {
-	var rs []Rule
-	for _, r := range Rules() {
-		if !r.TreeRequired {
-			rs = append(rs, r)
-		}
-	}
-	return newChecker(rs)
+	return &Checker{rules: rules}
 }
 
 // Rules returns the checker's rule set.
 func (c *Checker) Rules() []Rule { return c.rules }
 
-// NeedsTree reports whether any configured rule requires the parse
-// tree. A false return means Check runs entirely on the constant-
-// memory streaming path; serving layers use this to pick between
-// CheckStreamContext and a depth-capped tree parse.
-func (c *Checker) NeedsTree() bool { return c.needTree }
+// NeedsTree reports true: every check parses the tree.
+//
+// Deprecated: kept only for perfbench until its next change.
+func (c *Checker) NeedsTree() bool { return true }
 
 // Instrument registers per-rule hit counters (core_rule_hits_total,
 // labelled by rule ID) and a checked-pages counter on reg, and returns the
@@ -181,11 +154,11 @@ func (c *Checker) countHits(rep *Report) {
 
 // pass is one document's run of the checker's rules: the live state of
 // every hook rule (a rule with Stream), the findings each has emitted so
-// far, and the page signals. Every mode feeds a pass the same inputs —
-// each start and end tag in document order, then the parse errors — so
-// hook rules and signals are computed by one piece of code whether the
-// tags arrive live from the tree builder (CheckTree), replayed from a
-// recorded trace (CheckParsed) or from the bare tokenizer (CheckStream).
+// far, and the page signals. A pass is fed each start and end tag in
+// document order, then the parse errors, and hook rules and signals are
+// computed by the same code whether the tags arrive live from the tree
+// builder's OnTag hook (CheckContext, CheckTree) or are replayed from a
+// recorded trace (CheckParsed).
 type pass struct {
 	c     *Checker
 	rules []ruleRun // parallel to c.rules
@@ -236,20 +209,17 @@ func (ps *pass) errors(errs []htmlparse.ParseError) {
 	}
 }
 
-// report is the single report-assembly path of every mode: in catalogue
-// order, a hook rule contributes what it emitted and any other rule runs
-// its Check over p (skipped when p is nil: the stream path has no tree).
-// It fills RuleHits, attaches the signals, and records the instrumented
-// counters, so the modes cannot drift in how a Report is put together.
+// report is the single report-assembly path: in catalogue order, a hook
+// rule contributes what it emitted and any other rule runs its Check over
+// p. It fills RuleHits, attaches the signals, and records the
+// instrumented counters, so the entry points cannot drift in how a Report
+// is put together.
 func (ps *pass) report(p *Page) *Report {
 	c := ps.c
-	rep := &Report{RuleHits: make(map[string]int, len(c.rules))}
-	if p != nil {
-		rep.URL = p.URL
-	}
+	rep := &Report{URL: p.URL, RuleHits: make(map[string]int, len(c.rules))}
 	for i, rule := range c.rules {
 		fs := ps.rules[i].found
-		if rule.Stream == nil && p != nil && rule.Check != nil {
+		if rule.Stream == nil && rule.Check != nil {
 			fs = rule.Check(p)
 		}
 		if len(fs) > 0 {
@@ -266,23 +236,18 @@ func (ps *pass) report(p *Page) *Report {
 func (c *Checker) Check(html []byte) (*Report, error) { return c.check(nil, html, 0) }
 
 // CheckContext checks the document in one parse and keeps only the
-// report. When a configured rule needs the tree, the check runs as in
-// CheckTree inside htmlparse.ParseScoped, so the tree's node slabs go
-// back to the pooled parser once the report is built; otherwise it takes
-// the constant-memory CheckStreamContext path, which never builds a DOM
-// (and so has no depth to cap). ctx bounds the check and a positive
-// maxTreeDepth caps the open-element stack; on either abort the error is
-// returned and there is no report. It returns htmlparse.ErrNotUTF8 for
-// documents the pipeline must filter (paper §4.1).
+// report. The check runs as in CheckTree inside htmlparse.ParseScoped, so
+// the tree's node slabs go back to the pooled parser once the report is
+// built. ctx bounds the check and a positive maxTreeDepth caps the
+// open-element stack; on either abort the error is returned and there is
+// no report. It returns htmlparse.ErrNotUTF8 for documents the pipeline
+// must filter (paper §4.1).
 func (c *Checker) CheckContext(ctx context.Context, html []byte, maxTreeDepth int) (*Report, error) {
 	return c.check(ctx, html, maxTreeDepth)
 }
 
 // check is CheckContext with ctx nil for the uncancellable path.
 func (c *Checker) check(ctx context.Context, html []byte, maxTreeDepth int) (*Report, error) {
-	if !c.needTree {
-		return c.CheckStreamContext(ctx, html)
-	}
 	ps := c.newPass()
 	var rep *Report
 	err := htmlparse.ParseScoped(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}, func(res *htmlparse.Result) {
@@ -330,81 +295,16 @@ func (c *Checker) CheckParsed(p *Page) *Report {
 	return ps.report(p)
 }
 
-// CheckStream tokenizes without tree construction and runs the streaming
-// rule subset in O(1) token memory: no token slice is accumulated, and
-// each rule holds constant per-document state. Tree-required rules in the
-// checker's set are skipped.
-func (c *Checker) CheckStream(html []byte) (*Report, error) {
-	ts, err := htmlparse.NewTokenStream(html)
-	if err != nil {
-		return nil, err
-	}
-	rep := c.CheckTokenStream(ts)
-	ts.Close()
-	return rep, nil
-}
-
-// CheckStreamContext is CheckStream bounded by ctx: the token loop
-// polls the context between batches, so a request deadline or a client
-// disconnect interrupts the check mid-document instead of letting a
-// hostile body hold a worker. On cancellation it returns ctx's error
-// and no report.
+// CheckStreamContext is CheckContext with no depth cap.
+//
+// Deprecated: kept only for perfbench until its next change.
 func (c *Checker) CheckStreamContext(ctx context.Context, html []byte) (*Report, error) {
-	ts, err := htmlparse.NewTokenStream(html)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := c.checkTokenStream(ctx, ts)
-	ts.Close()
-	return rep, err
+	return c.CheckContext(ctx, html, 0)
 }
 
-// CheckTokenStream drives the streaming rules over an open token stream.
-// The report is fully assembled before returning — findings never alias
-// the stream's recycled scratch — so the caller may Close the stream
-// immediately after (CheckStream does; the conformance runner keeps it
-// open long enough to read Hazard).
-func (c *Checker) CheckTokenStream(ts *htmlparse.TokenStream) *Report {
-	rep, _ := c.checkTokenStream(nil, ts)
-	return rep
-}
-
-// cancelStride is how many tokens the streaming checker processes
-// between context polls; mirrors the tree builder's stride.
-const cancelStride = 512
-
-// checkTokenStream is the single streaming implementation; ctx may be
-// nil for the uncancellable path (no polling, no overhead).
-func (c *Checker) checkTokenStream(ctx context.Context, ts *htmlparse.TokenStream) (*Report, error) {
-	ps := c.newPass()
-	// One token variable for the whole loop: its address is passed to
-	// opaque hook funcs, so it escapes — once per document, not per token.
-	var t htmlparse.Token
-	tick := 0
-	for {
-		if ctx != nil {
-			if tick++; tick >= cancelStride {
-				tick = 0
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		t = ts.Next()
-		if t.Type == htmlparse.EOFToken {
-			break
-		}
-		if t.Type == htmlparse.StartTagToken || t.Type == htmlparse.EndTagToken {
-			ps.tag(&t)
-		}
-	}
-	ps.errors(ts.Errors())
-	return ps.report(nil), nil
-}
-
-// observe folds one start tag into the signals. Every mode calls it once
-// per start tag through pass.tag, so all modes measure signals with the
-// same code.
+// observe folds one start tag into the signals. Every entry point calls
+// it once per start tag through pass.tag, so all of them measure signals
+// with the same code.
 //
 //hv:hotpath runs once per start tag on every checking path
 func (s *Signals) observe(t *htmlparse.Token) {

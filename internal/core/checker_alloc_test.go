@@ -12,12 +12,12 @@ import (
 	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
-// streamAllocDoc builds a well-formed lowercase document of roughly `paras`
+// allocDoc builds a well-formed lowercase document of roughly `paras`
 // paragraphs with one constant violation up front (an FB1 solidus), so the
 // finding path is exercised while the body scales cleanly. Lowercase ASCII
-// keeps the tokenizer on its zero-copy spans — the regime in which
-// CheckStream's allocation count must not depend on input size.
-func streamAllocDoc(paras int) []byte {
+// keeps the tokenizer on its zero-copy spans, so the parse's allocations
+// grow only with the tree.
+func allocDoc(paras int) []byte {
 	var b strings.Builder
 	b.WriteString("<!doctype html><html><head><title>t</title></head><body><img//src=x>")
 	for i := 0; i < paras; i++ {
@@ -25,31 +25,6 @@ func streamAllocDoc(paras int) []byte {
 	}
 	b.WriteString("</body></html>")
 	return []byte(b.String())
-}
-
-// TestCheckStreamAllocsFlat is the O(1)-memory acceptance check: the
-// number of allocations per CheckStream call must be flat across a 10×
-// input-size sweep. Any per-token or per-tag allocation (token slices,
-// fresh attribute arrays, copied names) would scale with the paragraph
-// count and fail here.
-func TestCheckStreamAllocsFlat(t *testing.T) {
-	c := NewStreamingChecker()
-	allocs := func(doc []byte) float64 {
-		// One warm-up run primes the TokenStream pool and scratch sizes.
-		if _, err := c.CheckStream(doc); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(50, func() {
-			if _, err := c.CheckStream(doc); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	base := allocs(streamAllocDoc(50))
-	big := allocs(streamAllocDoc(500))
-	if big > base+4 {
-		t.Errorf("CheckStream allocations scale with input: %.1f allocs at 1x, %.1f at 10x", base, big)
-	}
 }
 
 // TestCheckOnePassAllocsFlat extends the flat-allocations bound to the
@@ -76,8 +51,8 @@ func TestCheckOnePassAllocsFlat(t *testing.T) {
 		})
 		return check - parse
 	}
-	base := overhead(streamAllocDoc(50))
-	big := overhead(streamAllocDoc(500))
+	base := overhead(allocDoc(50))
+	big := overhead(allocDoc(500))
 	if big > base+2 {
 		t.Errorf("Check's allocations over the parse scale with input: %.1f at 1x, %.1f at 10x", base, big)
 	}
@@ -131,27 +106,6 @@ func TestCheckBytesPerCall(t *testing.T) {
 	}
 }
 
-// TestStreamingRulesHaveStreamHooks pins the catalogue invariant the
-// two-phase checker depends on: every TreeRequired=false rule must carry a
-// Stream constructor (otherwise Check would silently fall back to tree
-// mode), and tree rules must not pretend to stream.
-func TestStreamingRulesHaveStreamHooks(t *testing.T) {
-	for _, r := range Rules() {
-		if !r.TreeRequired && r.Stream == nil {
-			t.Errorf("rule %s: TreeRequired=false but no Stream hook", r.ID)
-		}
-		if r.TreeRequired && r.Stream != nil {
-			t.Errorf("rule %s: TreeRequired=true yet has a Stream hook", r.ID)
-		}
-	}
-	if NewStreamingChecker().needTree {
-		t.Error("streaming checker thinks it needs a tree")
-	}
-	if !NewChecker().needTree {
-		t.Error("full checker thinks it can skip the tree")
-	}
-}
-
 // benchFixture loads one of the shared parser benchmark pages.
 func benchFixture(b *testing.B, name string) []byte {
 	b.Helper()
@@ -162,27 +116,8 @@ func benchFixture(b *testing.B, name string) []byte {
 	return data
 }
 
-// BenchmarkCheckStream measures the constant-memory streaming check over
-// the shared parser benchmark fixtures — the per-page cost of the
-// crawler's -stream mode.
-func BenchmarkCheckStream(b *testing.B) {
-	c := NewStreamingChecker()
-	for _, name := range []string{"small", "typical", "pathological"} {
-		data := benchFixture(b, name)
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.CheckStream(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCheckFull is the tree-mode counterpart, for the ablation
-// comparison in EXPERIMENTS.md.
+// BenchmarkCheckFull measures the full-catalogue check over the shared
+// parser benchmark fixtures.
 func BenchmarkCheckFull(b *testing.B) {
 	c := NewChecker()
 	for _, name := range []string{"small", "typical", "pathological"} {

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/hvscan/hvscan/internal/htmlparse"
 )
@@ -53,29 +54,23 @@ type Rule struct {
 	// Doc is a one-paragraph description of the attack the violation
 	// enables, with the paper section it comes from.
 	Doc string
-	// TreeRequired is false for rules decidable from the tokenizer alone
-	// (used by the streaming checker and the ablation benchmarks).
-	TreeRequired bool
 	// Check inspects one parsed page and returns all findings. Only rules
 	// without Stream use it: the checker runs it over the finished parse.
 	Check func(p *Page) []Finding
-	// Stream, set on every TreeRequired=false rule, returns fresh
-	// per-document hook state. A rule that has Stream is always driven
-	// through its hooks, in every mode — live from the tree builder's tag
-	// hook (Checker.Check, CheckTree), replayed from a recorded token
-	// trace (CheckParsed) or off the bare tokenizer (CheckStream) — and
-	// its Check, if any, is never called. One implementation per rule is
-	// what keeps the modes from drifting (the stream≡tree invariant).
+	// Stream returns fresh per-document hook state. A rule that has Stream
+	// is always driven through its hooks — live from the tree builder's
+	// tag hook (Checker.Check, CheckContext, CheckTree) or replayed from a
+	// recorded token trace (CheckParsed) — and its Check, if any, is never
+	// called, so one implementation serves every entry point.
 	Stream func() RuleStream
 }
 
 // RuleStream is the per-document state of one hook rule. Hooks are
 // optional; a nil hook is skipped. The checker calls Token for every start
-// and end tag in document order (the token — including its attribute
-// array — is only valid for the duration of the call), then Error once
-// per parse error after the document is parsed. Hooks append via emit and
-// must keep O(1) state of their own so the streaming pass stays
-// constant-memory.
+// and end tag in document order, as the parse reaches it (the token —
+// including its attribute array — is only valid for the duration of the
+// call), then Error once per parse error after the document is parsed.
+// Hooks append via emit and keep O(1) state of their own.
 type RuleStream struct {
 	Token func(t *htmlparse.Token, emit func(Finding))
 	Error func(e htmlparse.ParseError, emit func(Finding))
@@ -123,6 +118,23 @@ func RuleByID(id string) (Rule, bool) {
 		}
 	}
 	return Rule{}, false
+}
+
+// ParseRuleIDs splits a comma-separated list of rule IDs, as the -rules
+// flags take it, skipping empty items. It fails on the first ID that is
+// not in the catalogue (IDs are case-sensitive), naming it.
+func ParseRuleIDs(list string) ([]string, error) {
+	var ids []string
+	for _, id := range strings.Split(list, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if _, ok := RuleByID(id); !ok {
+			return nil, fmt.Errorf("unknown rule ID %q", id)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // RuleIDs returns all rule IDs in catalogue order.

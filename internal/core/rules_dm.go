@@ -25,7 +25,7 @@ var ruleDM1 = Rule{
 	ID: "DM1", Name: "Meta tag with http-equiv outside head",
 	Doc:   "meta http-equiv can set cookies, redirect, or declare a CSP, and is only defined for <head> — yet the parser honors it anywhere in the body (paper §3.2.1, Figure 15).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
+	AutoFixable: true,
 	Check: func(p *Page) []Finding {
 		var out []Finding
 		match := func(e htmlparse.TreeEvent) bool {
@@ -44,7 +44,7 @@ var ruleDM2_1 = Rule{
 	ID: "DM2_1", Name: "Base tag outside head",
 	Doc:   "A <base> element outside <head> rewrites every later relative URL — injected, it points the page's scripts at the attacker's server (Froxlor credential theft, CVE-2020-29653).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
+	AutoFixable: true,
 	Check: func(p *Page) []Finding {
 		var out []Finding
 		out = append(out, eventFindings(p, "DM2_1", htmlparse.EventBaseInBody, nil)...)
@@ -60,7 +60,7 @@ var ruleDM2_2 = Rule{
 	ID: "DM2_2", Name: "Multiple base tags",
 	Doc:   "Only one <base> per document is allowed; the parser keeps the first and ignores the rest, so an early injected base wins over the site's own (paper §3.2.1).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
+	AutoFixable: true,
 	Check: func(p *Page) []Finding {
 		bases := p.Doc.FindAll(func(n *htmlparse.Node) bool { return n.IsElement("base") })
 		if len(bases) < 2 {
@@ -81,7 +81,7 @@ var ruleDM2_3 = Rule{
 	ID: "DM2_3", Name: "Base tag after URL-consuming element",
 	Doc:   "A <base> appearing after elements that already consumed URLs splits the document into two inconsistent URL-resolution regimes (paper §3.2.1).",
 	Group: DataManipulation, Category: DefinitionViolation,
-	AutoFixable: true, TreeRequired: true,
+	AutoFixable: true,
 	Check: func(p *Page) []Finding {
 		var out []Finding
 		urlSeen := false

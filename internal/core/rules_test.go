@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -212,8 +213,8 @@ func TestRuleMetadata(t *testing.T) {
 			t.Fatalf("duplicate rule id %s", r.ID)
 		}
 		seen[r.ID] = true
-		// One implementation per rule: hook rules are driven through
-		// Stream in every mode, so a Check beside it would be dead code.
+		// One implementation per rule: hook rules are always driven
+		// through Stream, so a Check beside it would be dead code.
 		if (r.Check == nil) == (r.Stream == nil) {
 			t.Fatalf("%s must have exactly one of Check and Stream", r.ID)
 		}
@@ -261,19 +262,27 @@ func TestOnlyAutoFixable(t *testing.T) {
 	}
 }
 
-func TestStreamingCheckerSubset(t *testing.T) {
-	// The streaming checker must catch tokenizer-level rules...
-	rep, err := NewChecker().CheckStream(wrap(`<img/src=x/onerror=e><div a=1 a=2>x</div>`))
+// TestSubsetCheckerRunsTreeRules: a checker over a rule subset runs
+// exactly those rules, hook rules and tree rules alike, over the one
+// parse.
+func TestSubsetCheckerRunsTreeRules(t *testing.T) {
+	rep, err := NewChecker("FB1", "DM3", "DE4").Check(wrap(`<img/src=x/onerror=e><div a=1 a=2>x</div><form><form></form>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Violated("FB1") || !rep.Violated("DM3") {
-		t.Fatalf("streaming missed FB1/DM3: %v", rep.ViolatedIDs())
+	if got := rep.ViolatedIDs(); !slices.Equal(got, []string{"DE4", "DM3", "FB1"}) {
+		t.Fatalf("subset checker found %v, want [DE4 DM3 FB1]", got)
 	}
-	// ...and must not attempt tree rules.
-	for _, r := range NewStreamingChecker().Rules() {
-		if r.TreeRequired {
-			t.Fatalf("streaming checker contains tree rule %s", r.ID)
+}
+
+func TestParseRuleIDs(t *testing.T) {
+	ids, err := ParseRuleIDs("DE4,DM3, FB1,")
+	if err != nil || !slices.Equal(ids, []string{"DE4", "DM3", "FB1"}) {
+		t.Fatalf("ParseRuleIDs = %v, %v", ids, err)
+	}
+	for _, bad := range []string{"DE9", "de4", "DE4,,XX"} {
+		if _, err := ParseRuleIDs(bad); err == nil {
+			t.Errorf("ParseRuleIDs(%q) accepted an unknown ID", bad)
 		}
 	}
 }

@@ -53,12 +53,14 @@ func TestOnTagSeesRecordedTags(t *testing.T) {
 		}
 	}
 	entries := map[string]func([]byte, Options, func(*Result)) error{
-		"ParseReuseWithOptions": returned(ParseReuseWithOptions),
 		"ParseReuseContext": returned(func(b []byte, o Options) (*Result, error) {
 			return ParseReuseContext(context.Background(), b, o)
 		}),
 		"ParseScoped": func(b []byte, o Options, f func(*Result)) error {
 			return ParseScoped(context.Background(), b, o, f)
+		},
+		"ParseScoped(nil ctx)": func(b []byte, o Options, f func(*Result)) error {
+			return ParseScoped(nil, b, o, f)
 		},
 	}
 	for name, parse := range entries {
@@ -134,7 +136,7 @@ func TestOnTagPanicDropsParser(t *testing.T) {
 			}
 		}()
 		n := 0
-		_, _ = ParseReuseWithOptions(doc, Options{OnTag: func(tok *Token) {
+		_, _ = ParseReuseContext(context.Background(), doc, Options{OnTag: func(tok *Token) {
 			if n++; n == 3 {
 				poisoned = tok
 				panic("hook exploded")
@@ -147,7 +149,7 @@ func TestOnTagPanicDropsParser(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		var used *Token
-		res, err := ParseReuseWithOptions(doc, Options{RecordTokens: true, OnTag: func(tok *Token) { used = tok }})
+		res, err := ParseReuseContext(context.Background(), doc, Options{RecordTokens: true, OnTag: func(tok *Token) { used = tok }})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,17 +134,12 @@ func (p *Parser) parse(ctx context.Context, pre *Preprocessed, opts Options) (*R
 // and output, amortized scratch allocations. Use it in loops that parse
 // many documents; the Result remains valid after the parser is recycled.
 func ParseReuse(b []byte) (*Result, error) {
-	return ParseReuseWithOptions(b, Options{RecordTokens: true})
-}
-
-// ParseReuseWithOptions is ParseReuse with explicit options.
-func ParseReuseWithOptions(b []byte, opts Options) (*Result, error) {
 	pre, err := Preprocess(b)
 	if err != nil {
 		return nil, err
 	}
 	p := getParser()
-	res, _ := p.parse(nil, pre, opts)
+	res, _ := p.parse(nil, pre, Options{RecordTokens: true})
 	p.release()
 	return res, nil
 }
@@ -157,7 +152,7 @@ func ParseReuseWithOptions(b []byte, opts Options) (*Result, error) {
 // strings they carry — is the caller's to keep. f is not called when the
 // parse fails or aborts. A panic in f or in an OnTag hook propagates, and
 // the parser is dropped, not recycled. A nil ctx is never canceled and
-// caps no depth, as in ParseReuseWithOptions.
+// caps no depth, as in ParseReuse.
 func ParseScoped(ctx context.Context, b []byte, opts Options, f func(*Result)) error {
 	pre, err := Preprocess(b)
 	if err != nil {

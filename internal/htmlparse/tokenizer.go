@@ -119,10 +119,10 @@ type Tokenizer struct {
 
 	// AutoRaw makes the tokenizer switch itself into RCDATA / RAWTEXT /
 	// script data states when it emits a matching start tag. This is the
-	// behaviour wanted when the tokenizer runs standalone (streaming
-	// checks); the tree builder disables it and drives the switches, since
-	// the correct switch depends on the namespace context (a <style> inside
-	// <svg> is not raw text — the distinction the Figure 1 mXSS abuses).
+	// behaviour wanted when the tokenizer runs standalone; the tree builder
+	// disables it and drives the switches, since the correct switch depends
+	// on the namespace context (a <style> inside <svg> is not raw text —
+	// the distinction the Figure 1 mXSS abuses).
 	AutoRaw bool
 
 	// AllowCDATA, when non-nil, is consulted at <![CDATA[ to decide whether
@@ -167,17 +167,6 @@ type Tokenizer struct {
 	attrPos    Position
 	tmpBuf     []byte //hv:view recycled character-reference scratch
 	emittedEOF bool
-
-	// reuseAttrs makes newTag hand the current tag the recycled attrScratch
-	// backing array instead of allocating a fresh Attr slice per tag. Safe
-	// only for pull-style consumers that do not retain a token past the next
-	// Next() call (the streaming checker); the tree builder keeps tokens, so
-	// it leaves this off. Correctness relies on the step() invariant: one
-	// state-handler dispatch per step and Next() drains the queue before
-	// stepping, so the previously emitted tag is always consumed before a
-	// new tag can recycle its attribute array.
-	reuseAttrs  bool
-	attrScratch []Attribute //hv:view recycled Attr backing array under reuseAttrs
 }
 
 // NewTokenizer returns a tokenizer over a preprocessed input stream (see
@@ -424,11 +413,6 @@ func (z *Tokenizer) emit(t Token) {
 			}
 		}
 	}
-	if z.reuseAttrs && t.Attr != nil {
-		// The emitted token owns the scratch array until the consumer moves
-		// past it; reclaim the (possibly grown) backing array for the next tag.
-		z.attrScratch = t.Attr
-	}
 	z.queue = append(z.queue, t)
 }
 
@@ -459,9 +443,6 @@ func (z *Tokenizer) Next() Token {
 
 func (z *Tokenizer) newTag(tt TokenType) {
 	z.cur = Token{Type: tt, Pos: z.position()}
-	if z.reuseAttrs {
-		z.cur.Attr = z.attrScratch[:0]
-	}
 }
 
 func (z *Tokenizer) startNewAttr() {

@@ -9,18 +9,10 @@
 // package-level state, and iterating a map into ordered output
 // (append inside a map range) without a subsequent sort in the same
 // function.
-//
-// A fourth check guards the streaming contract (DESIGN.md §13): a Rule
-// declared with TreeRequired false is promised to the two-phase checker
-// as tokenizer-only, so its Check and Stream functions — and any
-// package-local function they reference — must not read the parse tree
-// (Page.Doc, Page.Events, EventsByKind, eventFindings). A violation
-// would make CheckStream silently miss findings that Check reports.
 package rulepurity
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"github.com/hvscan/hvscan/internal/lint/analysis"
@@ -38,8 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "rulepurity",
 	Doc: "internal/core rules must be deterministic: no clock or randomness " +
 		"reads, no writes to package-level state, no map iteration into " +
-		"ordered output without sorting; rules declared TreeRequired=false " +
-		"must not touch the parse tree",
+		"ordered output without sorting",
 	Run: run,
 }
 
@@ -75,178 +66,7 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	checkStreamPurity(pass)
 	return nil
-}
-
-// checkStreamPurity enforces the streaming contract on every Rule
-// composite literal: with TreeRequired false (or absent), the Check
-// and Stream field functions must stay tokenizer-only.
-func checkStreamPurity(pass *analysis.Pass) {
-	s := &purityScan{
-		pass:  pass,
-		decls: make(map[types.Object]*ast.FuncDecl),
-		memo:  make(map[types.Object]bool),
-	}
-	for _, f := range pass.Pkg.Syntax {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if obj := pass.ObjectOf(fd.Name); obj != nil {
-					s.decls[obj] = fd
-				}
-			}
-		}
-	}
-	for _, f := range pass.Pkg.Syntax {
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if ok && namedTypeName(pass.TypeOf(lit)) == "Rule" {
-				s.checkRuleLiteral(lit)
-			}
-			return true
-		})
-	}
-}
-
-type purityScan struct {
-	pass  *analysis.Pass
-	decls map[types.Object]*ast.FuncDecl
-	// memo caches funcTouchesTree per function object; a function is
-	// pre-marked false while being scanned, which doubles as the cycle
-	// guard for mutual recursion.
-	memo map[types.Object]bool
-}
-
-func (s *purityScan) checkRuleLiteral(lit *ast.CompositeLit) {
-	fields := make(map[string]ast.Expr)
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := kv.Key.(*ast.Ident); ok {
-			fields[id.Name] = kv.Value
-		}
-	}
-	if tr, ok := fields["TreeRequired"]; ok {
-		id, isIdent := tr.(*ast.Ident)
-		if !isIdent || id.Name != "false" {
-			return // true, or computed: not a streaming rule we can judge
-		}
-	}
-	name := "rule"
-	if id, ok := fields["ID"].(*ast.BasicLit); ok {
-		name = "rule " + id.Value
-	}
-	seen := make(map[token.Pos]bool)
-	for _, field := range []string{"Check", "Stream"} {
-		expr, ok := fields[field]
-		if !ok {
-			continue
-		}
-		s.findTreeAccess(expr, func(pos token.Pos, what string) {
-			if seen[pos] {
-				return
-			}
-			seen[pos] = true
-			s.pass.Reportf(pos,
-				"%s is streaming (TreeRequired is false) but its %s %s; streaming rules run without a parse tree", name, field, what)
-		})
-	}
-}
-
-// findTreeAccess reports every tree read reachable from root: direct
-// Doc/Events field reads on Page or Result, EventsByKind and
-// eventFindings calls, and references to package-local functions that
-// themselves touch the tree (transitively).
-func (s *purityScan) findTreeAccess(root ast.Node, report func(pos token.Pos, what string)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if isTreeField(s.pass, n) {
-				report(n.Sel.Pos(), "reads ."+n.Sel.Name)
-			}
-		case *ast.CallExpr:
-			if fn := s.pass.Callee(n); fn != nil {
-				switch fn.Name() {
-				case "EventsByKind":
-					report(n.Fun.Pos(), "calls EventsByKind")
-				case "eventFindings":
-					report(n.Fun.Pos(), "calls eventFindings, a tree-event helper")
-				}
-			}
-		case *ast.Ident:
-			obj := s.pass.ObjectOf(n)
-			if _, ok := s.decls[obj]; ok && s.funcTouchesTree(obj) {
-				report(n.Pos(), "references "+n.Name+", which touches the parse tree")
-			}
-		}
-		return true
-	})
-}
-
-// funcTouchesTree reports whether the package-local function behind obj
-// reads the parse tree, directly or through other local functions.
-func (s *purityScan) funcTouchesTree(obj types.Object) bool {
-	if v, ok := s.memo[obj]; ok {
-		return v
-	}
-	s.memo[obj] = false
-	fd := s.decls[obj]
-	if fd == nil || fd.Body == nil {
-		return false
-	}
-	touched := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if touched {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if isTreeField(s.pass, n) {
-				touched = true
-			}
-		case *ast.CallExpr:
-			if fn := s.pass.Callee(n); fn != nil && fn.Name() == "EventsByKind" {
-				touched = true
-			}
-		case *ast.Ident:
-			if o := s.pass.ObjectOf(n); o != obj {
-				if _, ok := s.decls[o]; ok && s.funcTouchesTree(o) {
-					touched = true
-				}
-			}
-		}
-		return !touched
-	})
-	s.memo[obj] = touched
-	return touched
-}
-
-// isTreeField matches Doc/Events selections on core.Page (or the
-// embedded htmlparse.Result it promotes them from).
-func isTreeField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "Doc" && sel.Sel.Name != "Events" {
-		return false
-	}
-	name := namedTypeName(pass.TypeOf(sel.X))
-	return name == "Page" || name == "Result"
-}
-
-// namedTypeName returns the name of t's (pointer-stripped) named type,
-// or "" when t is not a named type.
-func namedTypeName(t types.Type) string {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // checkGlobalWrite flags an assignment whose target resolves to a

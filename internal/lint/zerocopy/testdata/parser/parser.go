@@ -88,8 +88,8 @@ func deliberate(s *Scanner) {
 	retained = asString(s.input)
 }
 
-// Stream mirrors TokenStream: its own scratch field, refilled from the
-// scanner's, handed out only through a //hv:view method.
+// Stream is a pull-style wrapper with its own scratch field, refilled
+// from the scanner's, handed out only through a //hv:view method.
 type Stream struct {
 	sc *Scanner
 	//hv:view drained and re-filled by Bytes

@@ -130,7 +130,7 @@ func (s *Server) archiveCheck(ctx context.Context, crawl, domain string, limit i
 		}
 		page := ArchivePage{URL: capt.URL, Status: capt.Status, MIME: capt.MIME, Violations: []Violation{}}
 		if capt.MIME == "text/html" {
-			rep, _, cerr := s.check(ctx, capt.Body)
+			rep, cerr := s.check(ctx, capt.Body)
 			switch {
 			case cerr == nil:
 				page.Violations = violationsOf(rep)

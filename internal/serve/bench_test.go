@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"github.com/hvscan/hvscan/internal/core"
 )
 
 // BenchmarkServeCheck measures the full request path — admission,
@@ -15,24 +13,6 @@ import (
 // BENCH_baseline.json trajectory like the parser benchmarks.
 func BenchmarkServeCheck(b *testing.B) {
 	s := New(Config{TenantRate: -1})
-	body := Bodies(22, 1)[0]
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status = %d", w.Code)
-		}
-	}
-}
-
-// BenchmarkServeCheckStream is the same path on the constant-memory
-// streaming checker — the deployment mode for high-QPS scanning.
-func BenchmarkServeCheckStream(b *testing.B) {
-	s := New(Config{TenantRate: -1, Checker: core.NewStreamingChecker()})
 	body := Bodies(22, 1)[0]
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()

@@ -307,8 +307,7 @@ func TestServeChaosGracefulDrainFinishesInFlight(t *testing.T) {
 }
 
 // TestServeChaosLeakSweep drives ten rounds of traffic and checks that
-// goroutines and heap stay flat — the constant-memory claim, end to
-// end through the HTTP layer.
+// goroutines and heap stay flat, end to end through the HTTP layer.
 func TestServeChaosLeakSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("leak sweep is seconds-long")

@@ -13,10 +13,9 @@
 //	capped body read (progress deadline) → deadline-bounded,
 //	depth-capped, panic-isolated check
 //
-// All primitives come from internal/resilience; the checker runs on
-// the constant-memory streaming path whenever its rule set allows
-// (core.Checker.NeedsTree) and otherwise on one depth-capped pooled
-// tree parse that checks as it goes (core.Checker.CheckTree).
+// All primitives come from internal/resilience; the checker runs on one
+// depth-capped pooled tree parse that checks as it goes
+// (core.Checker.CheckContext).
 package serve
 
 import (
@@ -50,7 +49,7 @@ type Config struct {
 	// MaxBodyBytes caps the request body (default 2 MiB, the pipeline's
 	// document cap). Beyond it the request fails with 413.
 	MaxBodyBytes int64
-	// MaxTreeDepth caps the open-element stack of tree-mode parses
+	// MaxTreeDepth caps the open-element stack of every check's parse
 	// (default 512); adversarial deep nesting fails with 422.
 	MaxTreeDepth int
 	// RequestTimeout bounds the check itself (default 2s); the deadline
@@ -227,8 +226,6 @@ type Violation struct {
 
 // CheckResponse is the body of a successful POST /v1/check.
 type CheckResponse struct {
-	// Mode is "stream" (constant-memory tokenizer path) or "tree".
-	Mode string `json:"mode"`
 	// Bytes is the checked document's size.
 	Bytes int `json:"bytes"`
 	// Violations lists every finding; RuleHits aggregates them by rule.
@@ -317,12 +314,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	rep, mode, err := s.check(ctx, body)
+	rep, err := s.check(ctx, body)
 	if err != nil {
 		s.writeCheckError(sw, r, err)
 		return
 	}
-	writeJSON(sw, http.StatusOK, checkResponseOf(rep, mode, len(body)))
+	writeJSON(sw, http.StatusOK, checkResponseOf(rep, len(body)))
 }
 
 // writeCheckError maps a check failure to its response. Input faults
@@ -343,26 +340,19 @@ func (s *Server) writeCheckError(w http.ResponseWriter, r *http.Request, err err
 	}
 }
 
-// check runs the document through the checker with panic isolation.
-// The streaming path is taken whenever the rule set permits; otherwise
-// a depth-capped scoped tree parse with the rules hooked into it, whose
-// tree goes back to the parser pool once the report is built. A
-// panic in a rule or the parser is confined to this request: the
-// recover converts it to an error, and the deferred pool release in the
-// caller still runs.
-func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, mode string, err error) {
+// check runs the document through the checker with panic isolation: a
+// depth-capped scoped tree parse with the rules hooked into it, whose
+// tree goes back to the parser pool once the report is built. A panic in
+// a rule or the parser is confined to this request: the recover converts
+// it to an error, and the deferred pool release in the caller still runs.
+func (s *Server) check(ctx context.Context, body []byte) (rep *core.Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panics.Inc()
 			rep, err = nil, errCheckPanicked
 		}
 	}()
-	if !s.checker.NeedsTree() {
-		rep, err = s.checker.CheckStreamContext(ctx, body)
-		return rep, "stream", err
-	}
-	rep, err = s.checker.CheckContext(ctx, body, s.cfg.MaxTreeDepth)
-	return rep, "tree", err
+	return s.checker.CheckContext(ctx, body, s.cfg.MaxTreeDepth)
 }
 
 // AppliedFix is one verified repair action in a FixResponse.
@@ -460,9 +450,8 @@ func (s *Server) repair(ctx context.Context, body []byte) (res *autofix.Result, 
 	return autofix.RepairContext(ctx, body, autofix.Options{MaxTreeDepth: s.cfg.MaxTreeDepth})
 }
 
-func checkResponseOf(rep *core.Report, mode string, size int) *CheckResponse {
+func checkResponseOf(rep *core.Report, size int) *CheckResponse {
 	resp := &CheckResponse{
-		Mode:       mode,
 		Bytes:      size,
 		Violations: violationsOf(rep),
 		RuleHits:   rep.RuleHits,

@@ -20,8 +20,8 @@ import (
 	"github.com/hvscan/hvscan/internal/resilience"
 )
 
-// violatingHTML trips both a streaming rule (duplicate attribute) and
-// the newline-in-URL signal.
+// violatingHTML trips both a hook rule (duplicate attribute) and the
+// newline-in-URL signal.
 const violatingHTML = "<!DOCTYPE html><p id=a id=b>x</p><img src=\"a\nb<c\">"
 
 func post(t *testing.T, h http.Handler, body string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -51,9 +51,6 @@ func TestCheckEndpointReportsViolations(t *testing.T) {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
 	resp := decodeCheck(t, w)
-	if resp.Mode != "tree" {
-		t.Fatalf("full catalogue should use tree mode, got %q", resp.Mode)
-	}
 	if len(resp.Violations) == 0 {
 		t.Fatal("expected violations for a duplicate-attribute document")
 	}
@@ -65,14 +62,16 @@ func TestCheckEndpointReportsViolations(t *testing.T) {
 	}
 }
 
-func TestCheckEndpointStreamMode(t *testing.T) {
-	s := New(Config{Checker: core.NewStreamingChecker()})
-	w := post(t, s, violatingHTML, nil)
+// TestCheckEndpointRuleSubset: a server configured with a rule subset
+// reports exactly those rules, tree rules included.
+func TestCheckEndpointRuleSubset(t *testing.T) {
+	s := New(Config{Checker: core.NewChecker("DM3", "DE4")})
+	w := post(t, s, violatingHTML+"<form><form>", nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
-	if resp := decodeCheck(t, w); resp.Mode != "stream" {
-		t.Fatalf("mode = %q, want stream", resp.Mode)
+	if hits := decodeCheck(t, w).RuleHits; len(hits) != 2 || hits["DM3"] != 1 || hits["DE4"] != 1 {
+		t.Fatalf("rule hits = %v, want DM3 and DE4 once each", hits)
 	}
 }
 
