@@ -1,6 +1,8 @@
 package autofix
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/hvscan/hvscan/internal/core"
@@ -139,4 +141,33 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// mixedMetaPage carries a DM1 meta between </head> and <body>, which the
+// tree builder reroutes into head, and another in the body; the page
+// also has a base in the body (DM2_1).
+const mixedMetaPage = `<!DOCTYPE html><html><head><title>t</title></head>
+<meta http-equiv="refresh" content="5">
+<body><p>x</p>
+<meta http-equiv="set-cookie" content="a=b">
+<base href="/a/"></body>`
+
+// TestFixDM1RecordsByPosition: each DM1 record sits at the meta it
+// describes — the in-body meta is moved, the rerouted one is
+// re-serialized — whatever order the findings come in.
+func TestFixDM1RecordsByPosition(t *testing.T) {
+	r := repair(t, mixedMetaPage)
+	var got []string
+	for _, f := range r.Applied {
+		if f.RuleID == "DM1" {
+			got = append(got, fmt.Sprintf("%s at %s", f.Description, f.Pos))
+		}
+	}
+	want := []string{
+		"moved meta[http-equiv] into head at 4:3",
+		"re-serialized meta[http-equiv] inside head at 2:3",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("DM1 records = %q, want %q", got, want)
+	}
 }

@@ -163,19 +163,24 @@ func truncateAttrAtNewline(a *htmlparse.Attribute) bool {
 }
 
 // fixDM1 moves meta[http-equiv] elements that landed outside head back
-// into it. Findings beyond the moved nodes are after-head metas the tree
-// builder already rerouted into the head element — serialization
-// materializes the reroute, and the fix is recorded against the finding.
+// into it. A finding whose meta already sits in head is an after-head
+// meta the tree builder rerouted there — serialization materializes the
+// reroute, and the fix is recorded against the finding.
 func fixDM1(tx *Tx) {
 	head := tx.Head()
 	if head == nil {
 		return
 	}
 	var move []*htmlparse.Node
+	inHead := map[htmlparse.Position]bool{}
 	tx.Res.Doc.Walk(func(n *htmlparse.Node) bool {
 		if n.IsElement("meta") {
-			if _, ok := n.LookupAttr("http-equiv"); ok && n.Ancestor("head") == nil {
-				move = append(move, n)
+			if _, ok := n.LookupAttr("http-equiv"); ok {
+				if n.Ancestor("head") == nil {
+					move = append(move, n)
+				} else {
+					inHead[n.Pos] = true
+				}
 			}
 		}
 		return true
@@ -185,8 +190,10 @@ func fixDM1(tx *Tx) {
 		head.AppendChild(n)
 		tx.Record("moved meta[http-equiv] into head", n.Pos)
 	}
-	for i := len(move); i < len(tx.Findings); i++ {
-		tx.Record("re-serialized meta[http-equiv] inside head", tx.Findings[i].Pos)
+	for _, f := range tx.Findings {
+		if inHead[f.Pos] {
+			tx.Record("re-serialized meta[http-equiv] inside head", f.Pos)
+		}
 	}
 }
 

@@ -56,6 +56,10 @@ var onePassSeeds = []string{
 	"<template><style>x</style></template>",
 	"<svg></p><style>x</style>",
 	"<p><svg></p><style>x</style>",
+	// After-head and in-body DM1/DM2_1 events and a base in the tree hold
+	// the event and element hooks to the replay path, in order.
+	"<!DOCTYPE html><html><head><title>t</title></head>\n<meta http-equiv=\"refresh\" content=\"5\">\n" +
+		"<body><p>x</p>\n<meta http-equiv=\"set-cookie\" content=\"a=b\">\n<base href=\"/a/\"></body>",
 }
 
 // onePassAgreement checks Check ≡ CheckTree ≡ CheckParsed(ParseReuse) for

@@ -152,21 +152,22 @@ func (c *Checker) countHits(rep *Report) {
 	}
 }
 
-// pass is one document's run of the checker's rules: the live state of
-// every hook rule (a rule with Stream), the findings each has emitted so
-// far, and the page signals. A pass is fed each start and end tag in
-// document order, then the parse errors, and hook rules and signals are
-// computed by the same code whether the tags arrive live from the tree
-// builder's OnTag hook (CheckContext, CheckTree) or are replayed from a
-// recorded trace (CheckParsed).
+// pass is one document's run of the checker's rules: the live hook state
+// of every rule, the findings each has emitted so far, and the page
+// signals. A pass is fed each start and end tag in document order, then
+// the parse errors, the tree events and the finished tree's elements, and
+// rules and signals are computed by the same code whether the tags arrive
+// live from the tree builder's OnTag hook (CheckContext, CheckTree) or are
+// replayed from a recorded trace (CheckParsed).
 type pass struct {
 	c     *Checker
 	rules []ruleRun // parallel to c.rules
 	sig   Signals
+	walk  bool // some rule has an Element hook
 }
 
-// ruleRun is one rule's share of a pass: its hooks (zero for a rule
-// without Stream), what they emitted, and the emit func they append with.
+// ruleRun is one rule's share of a pass: its hooks, what they emitted,
+// and the emit func they append with.
 type ruleRun struct {
 	RuleStream
 	found []Finding
@@ -182,6 +183,7 @@ func (c *Checker) newPass() *pass {
 		rr := &ps.rules[i]
 		rr.RuleStream = r.Stream()
 		rr.emit = func(f Finding) { rr.found = append(rr.found, f) }
+		ps.walk = ps.walk || rr.Element != nil
 	}
 	return ps
 }
@@ -198,31 +200,49 @@ func (ps *pass) tag(t *htmlparse.Token) {
 	}
 }
 
-// errors feeds the document's parse errors, in order, to every error hook.
-func (ps *pass) errors(errs []htmlparse.ParseError) {
-	for _, e := range errs {
+// parsed feeds what the finished parse holds beyond its tags: the parse
+// errors to every error hook, then the tree events to every event hook,
+// both in recorded order, then each element of one pre-order walk of the
+// tree to every element hook.
+func (ps *pass) parsed(res *htmlparse.Result) {
+	for _, e := range res.Errors {
 		for i := range ps.rules {
 			if rr := &ps.rules[i]; rr.Error != nil {
 				rr.Error(e, rr.emit)
 			}
 		}
 	}
+	for j := range res.Events {
+		for i := range ps.rules {
+			if rr := &ps.rules[i]; rr.Event != nil {
+				rr.Event(&res.Events[j], rr.emit)
+			}
+		}
+	}
+	if !ps.walk {
+		return
+	}
+	res.Doc.Walk(func(n *htmlparse.Node) bool {
+		if n.Type == htmlparse.ElementNode {
+			for i := range ps.rules {
+				if rr := &ps.rules[i]; rr.Element != nil {
+					rr.Element(n, rr.emit)
+				}
+			}
+		}
+		return true
+	})
 }
 
-// report is the single report-assembly path: in catalogue order, a hook
-// rule contributes what it emitted and any other rule runs its Check over
-// p. It fills RuleHits, attaches the signals, and records the
-// instrumented counters, so the entry points cannot drift in how a Report
-// is put together.
-func (ps *pass) report(p *Page) *Report {
+// report is the single report-assembly path: in catalogue order, each
+// rule contributes what its hooks emitted. It fills RuleHits, attaches
+// the signals, and records the instrumented counters, so the entry points
+// cannot drift in how a Report is put together.
+func (ps *pass) report(url string) *Report {
 	c := ps.c
-	rep := &Report{URL: p.URL, RuleHits: make(map[string]int, len(c.rules))}
+	rep := &Report{URL: url, RuleHits: make(map[string]int, len(c.rules))}
 	for i, rule := range c.rules {
-		fs := ps.rules[i].found
-		if rule.Stream == nil && rule.Check != nil {
-			fs = rule.Check(p)
-		}
-		if len(fs) > 0 {
+		if fs := ps.rules[i].found; len(fs) > 0 {
 			rep.RuleHits[rule.ID] = len(fs)
 			rep.Findings = append(rep.Findings, fs...)
 		}
@@ -257,11 +277,11 @@ func (c *Checker) check(ctx context.Context, html []byte, maxTreeDepth int) (*Re
 }
 
 // CheckTree parses html once and checks it during that parse. The
-// parser's OnTag hook drives every hook rule and the signals tag by tag,
-// so no token trace is recorded or replayed; the parse errors then go
-// through the error hooks, and the remaining rules run over the finished
-// Result, which is returned with the report (the repair engine edits its
-// tree). ctx bounds the parse and a positive maxTreeDepth caps the
+// parser's OnTag hook drives the token hooks and the signals tag by tag,
+// so no token trace is recorded or replayed; the parse errors, tree
+// events and elements of the finished Result then go through the other
+// hooks, and the Result is returned with the report (the repair engine
+// edits its tree). ctx bounds the parse and a positive maxTreeDepth caps the
 // open-element stack, as in htmlparse.ParseReuseContext; on either abort
 // the error is returned and there is no Result or report. A caller that
 // does not keep the Result uses CheckContext.
@@ -274,25 +294,25 @@ func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int) 
 	return res, ps.finish(res), nil
 }
 
-// finish completes a pass whose tags the parse already fed live: the
-// parse errors go through the error hooks, then the report is built.
+// finish completes a pass whose tags the parse already fed live and
+// builds the report.
 func (ps *pass) finish(res *htmlparse.Result) *Report {
-	ps.errors(res.Errors)
-	return ps.report(&Page{Result: res})
+	ps.parsed(res)
+	return ps.report("")
 }
 
-// CheckParsed runs the rules over an already parsed page. The hook rules
+// CheckParsed runs the rules over an already parsed page. The token hooks
 // and the signals replay the page's recorded tag trace, so the page must
 // come from a parse with htmlparse.Options.RecordTokens set (Parse,
 // ParseReuse and ParseFragment* set it); without a trace they see no tags
-// and report nothing.
+// and report nothing. The other hooks read the Result as in CheckTree.
 func (c *Checker) CheckParsed(p *Page) *Report {
 	ps := c.newPass()
 	for i := range p.Tokens {
 		ps.tag(&p.Tokens[i])
 	}
-	ps.errors(p.Errors)
-	return ps.report(p)
+	ps.parsed(p.Result)
+	return ps.report(p.URL)
 }
 
 // CheckStreamContext is CheckContext with no depth cap.

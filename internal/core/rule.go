@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/hvscan/hvscan/internal/htmlparse"
@@ -54,26 +55,33 @@ type Rule struct {
 	// Doc is a one-paragraph description of the attack the violation
 	// enables, with the paper section it comes from.
 	Doc string
-	// Check inspects one parsed page and returns all findings. Only rules
-	// without Stream use it: the checker runs it over the finished parse.
-	Check func(p *Page) []Finding
-	// Stream returns fresh per-document hook state. A rule that has Stream
-	// is always driven through its hooks — live from the tree builder's
-	// tag hook (Checker.Check, CheckContext, CheckTree) or replayed from a
-	// recorded token trace (CheckParsed) — and its Check, if any, is never
-	// called, so one implementation serves every entry point.
+	// Stream returns fresh per-document hook state. Every rule is driven
+	// through its hooks by the one pass that Checker.Check, CheckContext,
+	// CheckTree and CheckParsed share, so one implementation serves every
+	// entry point. A rule without Stream reports nothing.
 	Stream func() RuleStream
 }
 
-// RuleStream is the per-document state of one hook rule. Hooks are
-// optional; a nil hook is skipped. The checker calls Token for every start
-// and end tag in document order, as the parse reaches it (the token —
-// including its attribute array — is only valid for the duration of the
-// call), then Error once per parse error after the document is parsed.
-// Hooks append via emit and keep O(1) state of their own.
+// RuleStream is the per-document state of one rule: four hooks over the
+// one instrumented parse (paper §3.2). Hooks are optional; a nil hook is
+// skipped. The checker calls
+//   - Token for every start and end tag in document order, as the parse
+//     reaches it (live from the tree builder, or replayed by CheckParsed);
+//   - Error once per parse error, after the document is parsed;
+//   - Event once per tree-construction event, in recorded (document)
+//     order, after the error hooks;
+//   - Element once per element of the finished tree, in one shared
+//     pre-order walk of the document, after the event hooks. The walk is
+//     skipped when no rule of the checker has an Element hook.
+//
+// The token (including its attribute array), the event and the node are
+// only valid for the duration of the call. Hooks append via emit and keep
+// O(1) state of their own.
 type RuleStream struct {
-	Token func(t *htmlparse.Token, emit func(Finding))
-	Error func(e htmlparse.ParseError, emit func(Finding))
+	Token   func(t *htmlparse.Token, emit func(Finding))
+	Error   func(e htmlparse.ParseError, emit func(Finding))
+	Event   func(e *htmlparse.TreeEvent, emit func(Finding))
+	Element func(n *htmlparse.Node, emit func(Finding))
 }
 
 // Finding is one observed violation instance.
@@ -174,23 +182,21 @@ func tokenStream(hook func(*htmlparse.Token, func(Finding))) func() RuleStream {
 // errorStream builds the Stream hook of a rule whose findings are exactly
 // the parse errors carrying one code.
 func errorStream(id string, code htmlparse.ErrorCode) func() RuleStream {
-	return func() RuleStream {
-		return RuleStream{Error: func(e htmlparse.ParseError, emit func(Finding)) {
-			if e.Code == code {
-				emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
-			}
-		}}
+	hook := func(e htmlparse.ParseError, emit func(Finding)) {
+		if e.Code == code {
+			emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
+		}
 	}
+	return func() RuleStream { return RuleStream{Error: hook} }
 }
 
-// eventFindings converts matching tree events into findings.
-func eventFindings(p *Page, id string, kind htmlparse.EventKind, match func(htmlparse.TreeEvent) bool) []Finding {
-	var out []Finding
-	for _, e := range p.EventsByKind(kind) {
-		if match != nil && !match(e) {
-			continue
+// eventStream builds the Stream hook of a rule whose findings are the
+// tree events of the given kinds that match (nil matches every event).
+func eventStream(id string, match func(*htmlparse.TreeEvent) bool, kinds ...htmlparse.EventKind) func() RuleStream {
+	hook := func(e *htmlparse.TreeEvent, emit func(Finding)) {
+		if slices.Contains(kinds, e.Kind) && (match == nil || match(e)) {
+			emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
 		}
-		out = append(out, Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
 	}
-	return out
+	return func() RuleStream { return RuleStream{Event: hook} }
 }

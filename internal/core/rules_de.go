@@ -42,10 +42,8 @@ var ruleDE1 = Rule{
 	ID: "DE1", Name: "Non-terminated textarea element",
 	Doc:   "An unterminated <textarea> swallows everything to end-of-file; injected before secret content inside an attacker-supplied form, the secret submits to the attacker's server without any script running (paper §3.2.1, Figure 3).",
 	Group: DataExfiltration, Category: DefinitionViolation,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "DE1", htmlparse.EventAutoClosedAtEOF,
-			func(e htmlparse.TreeEvent) bool { return e.Detail == "textarea" })
-	},
+	Stream: eventStream("DE1", func(e *htmlparse.TreeEvent) bool { return e.Detail == "textarea" },
+		htmlparse.EventAutoClosedAtEOF),
 }
 
 // ruleDE2 detects select/option elements left open at EOF. The leak is
@@ -55,12 +53,9 @@ var ruleDE2 = Rule{
 	ID: "DE2", Name: "Non-terminated select and option elements",
 	Doc:   "An unterminated <select>/<option> swallows following content as plain text (tags stripped, text kept), exfiltrating it through form submission (paper §3.2.1).",
 	Group: DataExfiltration, Category: DefinitionViolation,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "DE2", htmlparse.EventAutoClosedAtEOF,
-			func(e htmlparse.TreeEvent) bool {
-				return e.Detail == "select" || e.Detail == "option" || e.Detail == "optgroup"
-			})
-	},
+	Stream: eventStream("DE2", func(e *htmlparse.TreeEvent) bool {
+		return e.Detail == "select" || e.Detail == "option" || e.Detail == "optgroup"
+	}, htmlparse.EventAutoClosedAtEOF),
 }
 
 // ruleDE3_1 detects the classic dangling markup exfiltration: a URL-valued
@@ -147,9 +142,7 @@ var ruleDE4 = Rule{
 	ID: "DE4", Name: "Nested form element",
 	Doc:   "A nested <form> start tag is silently dropped, so an attacker-injected earlier form decides where the victim's input is submitted (paper §3.2.2; cf. CVE-2020-29653-style credential theft).",
 	Group: DataExfiltration, Category: ParsingError,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "DE4", htmlparse.EventNestedForm, nil)
-	},
+	Stream: eventStream("DE4", nil, htmlparse.EventNestedForm),
 }
 
 func truncate(s string, n int) string {

@@ -26,15 +26,9 @@ var ruleDM1 = Rule{
 	Doc:   "meta http-equiv can set cookies, redirect, or declare a CSP, and is only defined for <head> — yet the parser honors it anywhere in the body (paper §3.2.1, Figure 15).",
 	Group: DataManipulation, Category: DefinitionViolation,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		var out []Finding
-		match := func(e htmlparse.TreeEvent) bool {
-			return e.Detail == "meta" && hasAttr(e.Attr, "http-equiv")
-		}
-		out = append(out, eventFindings(p, "DM1", htmlparse.EventMetaInBody, match)...)
-		out = append(out, eventFindings(p, "DM1", htmlparse.EventMetadataAfterHead, match)...)
-		return out
-	},
+	Stream: eventStream("DM1", func(e *htmlparse.TreeEvent) bool {
+		return e.Detail == "meta" && hasAttr(e.Attr, "http-equiv")
+	}, htmlparse.EventMetaInBody, htmlparse.EventMetadataAfterHead),
 }
 
 // ruleDM2_1 detects base elements outside the head section (only defined
@@ -45,65 +39,58 @@ var ruleDM2_1 = Rule{
 	Doc:   "A <base> element outside <head> rewrites every later relative URL — injected, it points the page's scripts at the attacker's server (Froxlor credential theft, CVE-2020-29653).",
 	Group: DataManipulation, Category: DefinitionViolation,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		var out []Finding
-		out = append(out, eventFindings(p, "DM2_1", htmlparse.EventBaseInBody, nil)...)
-		out = append(out, eventFindings(p, "DM2_1", htmlparse.EventMetadataAfterHead,
-			func(e htmlparse.TreeEvent) bool { return e.Detail == "base" })...)
-		return out
-	},
+	Stream: eventStream("DM2_1", func(e *htmlparse.TreeEvent) bool { return e.Detail == "base" },
+		htmlparse.EventBaseInBody, htmlparse.EventMetadataAfterHead),
 }
 
 // ruleDM2_2 detects documents with more than one base element; the spec
-// allows exactly one per document.
+// allows exactly one per document. Like DM2_3 it reads the finished tree,
+// where the spec defines it: a base the tree builder drops (inside select)
+// or places in a foreign namespace (inside svg) is not a base element.
 var ruleDM2_2 = Rule{
 	ID: "DM2_2", Name: "Multiple base tags",
 	Doc:   "Only one <base> per document is allowed; the parser keeps the first and ignores the rest, so an early injected base wins over the site's own (paper §3.2.1).",
 	Group: DataManipulation, Category: DefinitionViolation,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		bases := p.Doc.FindAll(func(n *htmlparse.Node) bool { return n.IsElement("base") })
-		if len(bases) < 2 {
-			return nil
-		}
-		var out []Finding
-		for _, b := range bases[1:] {
-			out = append(out, Finding{RuleID: "DM2_2", Pos: b.Pos, Evidence: "base"})
-		}
-		return out
+	Stream: func() RuleStream {
+		bases := 0
+		return RuleStream{Element: func(n *htmlparse.Node, emit func(Finding)) {
+			if !n.IsElement("base") {
+				return
+			}
+			if bases++; bases > 1 {
+				emit(Finding{RuleID: "DM2_2", Pos: n.Pos, Evidence: "base"})
+			}
+		}}
 	},
 }
 
 // ruleDM2_3 detects a base element that appears after an earlier element
 // already consumed a URL: every relative URL before the base resolves
-// differently from those after it, which the spec forbids.
+// differently from those after it, which the spec forbids. Tree order
+// decides: a dropped nested form's action consumes no URL, and a second
+// body's attributes count where they merge, on the first body.
 var ruleDM2_3 = Rule{
 	ID: "DM2_3", Name: "Base tag after URL-consuming element",
 	Doc:   "A <base> appearing after elements that already consumed URLs splits the document into two inconsistent URL-resolution regimes (paper §3.2.1).",
 	Group: DataManipulation, Category: DefinitionViolation,
 	AutoFixable: true,
-	Check: func(p *Page) []Finding {
-		var out []Finding
+	Stream: func() RuleStream {
 		urlSeen := false
-		p.Doc.Walk(func(n *htmlparse.Node) bool {
-			if n.Type != htmlparse.ElementNode {
-				return true
-			}
+		return RuleStream{Element: func(n *htmlparse.Node, emit func(Finding)) {
 			if n.IsElement("base") {
 				if urlSeen {
-					out = append(out, Finding{RuleID: "DM2_3", Pos: n.Pos, Evidence: "base"})
+					emit(Finding{RuleID: "DM2_3", Pos: n.Pos, Evidence: "base"})
 				}
-				return true
+				return
 			}
 			for _, a := range n.Attr {
 				if urlAttributes[a.Name] && a.Value != "" {
 					urlSeen = true
-					break
+					return
 				}
 			}
-			return true
-		})
-		return out
+		}}
 	},
 }
 

@@ -17,12 +17,7 @@ var ruleHF1 = Rule{
 	ID: "HF1", Name: "Broken head section",
 	Doc:   "A non-head element inside <head> closes the section implicitly and relocates the rest — including CSP meta tags — into the body where they are inert (paper §3.2.1).",
 	Group: HTMLFormatting, Category: DefinitionViolation,
-	Check: func(p *Page) []Finding {
-		var out []Finding
-		out = append(out, eventFindings(p, "HF1", htmlparse.EventHeadBroken, nil)...)
-		out = append(out, eventFindings(p, "HF1", htmlparse.EventMetadataAfterHead, nil)...)
-		return out
-	},
+	Stream: eventStream("HF1", nil, htmlparse.EventHeadBroken, htmlparse.EventMetadataAfterHead),
 }
 
 // ruleHF2 detects content before the body element: the parser opens the
@@ -33,9 +28,7 @@ var ruleHF2 = Rule{
 	ID: "HF2", Name: "Content before body",
 	Doc:   "Content before <body> forces an implicit body; a dangling tag there can absorb the real body tag together with its onload security handlers (paper Figure 4).",
 	Group: HTMLFormatting, Category: DefinitionViolation,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "HF2", htmlparse.EventImpliedBody, nil)
-	},
+	Stream: eventStream("HF2", nil, htmlparse.EventImpliedBody),
 }
 
 // ruleHF3 detects a second body start tag. The parser merges its
@@ -45,9 +38,7 @@ var ruleHF3 = Rule{
 	ID: "HF3", Name: "Multiple body elements",
 	Doc:   "A second <body> tag merges its attributes into the first (first writer wins per name), letting injections on either side of the real tag manipulate it (paper §3.2.2).",
 	Group: HTMLFormatting, Category: ParsingError,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "HF3", htmlparse.EventSecondBody, nil)
-	},
+	Stream: eventStream("HF3", nil, htmlparse.EventSecondBody),
 }
 
 // ruleHF4 detects elements (or text) that are illegal inside a table and
@@ -58,9 +49,7 @@ var ruleHF4 = Rule{
 	ID: "HF4", Name: "Broken table element",
 	Doc:   "Content illegal inside <table> is foster-parented in front of it; sanitizers that do not anticipate the reordering are bypassable — the Figure 1 mXSS building block (paper §3.2.2).",
 	Group: HTMLFormatting, Category: ParsingError,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "HF4", htmlparse.EventFosterParented, nil)
-	},
+	Stream: eventStream("HF4", nil, htmlparse.EventFosterParented),
 }
 
 // ruleHF5_1 detects SVG/MathML-only elements appearing in the HTML
@@ -70,9 +59,7 @@ var ruleHF5_1 = Rule{
 	ID: "HF5_1", Name: "Wrong namespace: foreign element in HTML",
 	Doc:   "SVG/MathML-only elements in the HTML namespace: detached foreign markup, typically broken inline SVG, parsed as unknown HTML elements (paper §3.2.2).",
 	Group: HTMLFormatting, Category: ParsingError,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "HF5_1", htmlparse.EventForeignElementInHTML, nil)
-	},
+	Stream: eventStream("HF5_1", nil, htmlparse.EventForeignElementInHTML),
 }
 
 // ruleHF5_2 detects HTML breakout elements inside SVG content: the parser
@@ -81,10 +68,8 @@ var ruleHF5_2 = Rule{
 	ID: "HF5_2", Name: "Wrong namespace: breakout from SVG",
 	Doc:   "An HTML element inside <svg> forces the parser out of the foreign namespace; content written for one namespace re-parses under another's rules (paper §3.2.2).",
 	Group: HTMLFormatting, Category: ParsingError,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "HF5_2", htmlparse.EventForeignBreakout,
-			func(e htmlparse.TreeEvent) bool { return e.Namespace == htmlparse.NamespaceSVG })
-	},
+	Stream: eventStream("HF5_2", func(e *htmlparse.TreeEvent) bool { return e.Namespace == htmlparse.NamespaceSVG },
+		htmlparse.EventForeignBreakout),
 }
 
 // ruleHF5_3 detects breakouts from MathML content — the namespace switch
@@ -94,8 +79,6 @@ var ruleHF5_3 = Rule{
 	ID: "HF5_3", Name: "Wrong namespace: breakout from MathML",
 	Doc:   "The MathML namespace breakout behind the DOMPurify < 2.1 bypass: content crosses from MathML parsing rules to HTML ones between two parses (paper Figure 1).",
 	Group: HTMLFormatting, Category: ParsingError,
-	Check: func(p *Page) []Finding {
-		return eventFindings(p, "HF5_3", htmlparse.EventForeignBreakout,
-			func(e htmlparse.TreeEvent) bool { return e.Namespace == htmlparse.NamespaceMathML })
-	},
+	Stream: eventStream("HF5_3", func(e *htmlparse.TreeEvent) bool { return e.Namespace == htmlparse.NamespaceMathML },
+		htmlparse.EventForeignBreakout),
 }

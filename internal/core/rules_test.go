@@ -213,10 +213,10 @@ func TestRuleMetadata(t *testing.T) {
 			t.Fatalf("duplicate rule id %s", r.ID)
 		}
 		seen[r.ID] = true
-		// One implementation per rule: hook rules are always driven
-		// through Stream, so a Check beside it would be dead code.
-		if (r.Check == nil) == (r.Stream == nil) {
-			t.Fatalf("%s must have exactly one of Check and Stream", r.ID)
+		// One rule interface: every catalogue rule is driven through
+		// its hooks.
+		if r.Stream == nil {
+			t.Fatalf("%s has no Stream", r.ID)
 		}
 		if len(r.Doc) < 40 {
 			t.Fatalf("%s has no substantive doc", r.ID)
@@ -299,5 +299,50 @@ func TestMitigationSignals(t *testing.T) {
 	rep = mustCheck(t, wrap(`<iframe srcdoc="<script>x()</script>"></iframe>`))
 	if !rep.Signals.ScriptInAttribute || rep.Signals.NonceScriptAffected {
 		t.Fatalf("signals = %+v", rep.Signals)
+	}
+}
+
+// TestBaseRulesReadTheTree pins DM2_2 and DM2_3 to tree order, where the
+// spec defines them. A token-order reading gets each of these wrong: the
+// second base inside svg is an SVG element and the one inside select is
+// dropped (no DM2_2), the nested form is dropped with its action (no
+// DM2_3), and the second body's background merges into the first body,
+// which precedes the base (DM2_3).
+func TestBaseRulesReadTheTree(t *testing.T) {
+	for _, tc := range []struct {
+		in         string
+		dm22, dm23 int
+	}{
+		{`<base href=a><svg><base href=b></svg>`, 0, 0},
+		{`<base href=a><select><base href=b></select>`, 0, 0},
+		{`<form><form action=x><base href=y>`, 0, 0},
+		{`<body><base href=/><body background=x.png>`, 0, 1},
+	} {
+		rep := mustCheck(t, []byte(tc.in))
+		if got := rep.RuleHits["DM2_2"]; got != tc.dm22 {
+			t.Errorf("%s: DM2_2 hits %d, want %d", tc.in, got, tc.dm22)
+		}
+		if got := rep.RuleHits["DM2_3"]; got != tc.dm23 {
+			t.Errorf("%s: DM2_3 hits %d, want %d", tc.in, got, tc.dm23)
+		}
+	}
+}
+
+// TestEventFindingsInDocumentOrder: DM1 reports its findings in document
+// order, the after-head meta (rerouted into head) before the in-body one.
+func TestEventFindingsInDocumentOrder(t *testing.T) {
+	rep := mustCheck(t, []byte(`<!DOCTYPE html><html><head><title>t</title></head>
+<meta http-equiv="refresh" content="5">
+<body><p>x</p>
+<meta http-equiv="set-cookie" content="a=b">
+<base href="/a/"></body>`))
+	var got []string
+	for _, f := range rep.Findings {
+		if f.RuleID == "DM1" {
+			got = append(got, f.Pos.String())
+		}
+	}
+	if want := []string{"2:3", "4:3"}; !slices.Equal(got, want) {
+		t.Fatalf("DM1 findings at %v, want %v", got, want)
 	}
 }

@@ -166,9 +166,8 @@ func TestDrainGate(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	bomb := core.Rule{
-		ID:    "TEST_BOMB",
-		Name:  "panics on marked documents",
-		Check: func(p *core.Page) []core.Finding { return nil },
+		ID:   "TEST_BOMB",
+		Name: "panics on marked documents",
 		Stream: func() core.RuleStream {
 			return core.RuleStream{Token: func(tok *htmlparse.Token, emit func(core.Finding)) {
 				if tok.Data == "boom" {
