@@ -9,18 +9,16 @@ import (
 	"github.com/hvscan/hvscan/internal/htmlparse"
 )
 
-// DefaultMaxRounds bounds the fix→recheck convergence loop. One round
+// maxRounds bounds the fix→recheck convergence loop. One round
 // suffices for independent fixes; a second absorbs violations that
 // serialization itself surfaces (e.g. an entity-encoded newline in a URL
 // attribute decoding into a literal one); the third is headroom. A
 // document that has not converged by then is declared Unfixable rather
 // than looped on.
-const DefaultMaxRounds = 3
+const maxRounds = 3
 
 // Options configures Repair.
 type Options struct {
-	// MaxRounds caps the fix→recheck loop; 0 means DefaultMaxRounds.
-	MaxRounds int
 	// MaxTreeDepth is forwarded to the parser (0 = unlimited). Online
 	// serving sets it so hostile nesting fails fast; see
 	// htmlparse.Options.
@@ -42,10 +40,6 @@ func Repair(input []byte) (*Result, error) {
 // never emitted. The error return is operational only (invalid encoding,
 // depth cap on the input, context cancellation), never a failed repair.
 func RepairContext(ctx context.Context, input []byte, opts Options) (*Result, error) {
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
 	checker := core.NewChecker()
 	check := func(b []byte) (*htmlparse.Result, *core.Report, error) {
 		return checker.CheckTree(ctx, b, opts.MaxTreeDepth)

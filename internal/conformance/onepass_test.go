@@ -123,9 +123,8 @@ func scopedAgreement(a, b []byte) error {
 // tree-construction and tokenizer case of the checked-in corpus, and
 // scopedAgreement over every pair of consecutive cases.
 func TestOnePassAgreementOnCorpus(t *testing.T) {
-	n := 0
 	var prev []byte
-	check := func(id string, input []byte) {
+	forEachCorpusCase(t, func(id string, input []byte) {
 		if err := onePassAgreement(input); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
@@ -135,8 +134,15 @@ func TestOnePassAgreementOnCorpus(t *testing.T) {
 			}
 		}
 		prev = input
-		n++
-	}
+	})
+}
+
+// forEachCorpusCase calls f with the ID and input of every
+// tree-construction and tokenizer case of the checked-in corpus, and
+// fails t if the corpus has shrunk below 300 cases.
+func forEachCorpusCase(t *testing.T, f func(id string, input []byte)) {
+	t.Helper()
+	n := 0
 	for _, dir := range []string{
 		"testdata/tree-construction",
 		filepath.Join("..", "htmlparse", "testdata", "tree-construction"),
@@ -151,7 +157,8 @@ func TestOnePassAgreementOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range cases {
-				check(cases[i].ID(), []byte(cases[i].Data))
+				f(cases[i].ID(), []byte(cases[i].Data))
+				n++
 			}
 		}
 	}
@@ -165,7 +172,8 @@ func TestOnePassAgreementOnCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range cases {
-			check(cases[i].ID(), []byte(cases[i].Input))
+			f(cases[i].ID(), []byte(cases[i].Input))
+			n++
 		}
 	}
 	if n < 300 {

@@ -8,9 +8,10 @@ import (
 
 // Native fuzz targets. `go test` runs the seed corpus as regular tests;
 // `go test -fuzz FuzzParse ./internal/htmlparse` explores further. Every
-// interesting payload from the paper is a seed.
+// interesting payload from the paper is a seed, and so is every hostile
+// shape at 1 KiB.
 
-var fuzzSeeds = []string{
+var fuzzSeeds = append([]string{
 	"",
 	"plain text",
 	"<!DOCTYPE html><html><head><title>t</title></head><body><p>x</p></body></html>",
@@ -31,7 +32,7 @@ var fuzzSeeds = []string{
 	"<a b='c\x00d'>\x00",
 	"<title>&amp;</title><textarea>\nx</textarea><plaintext>rest",
 	"<html lang=a><html lang=b><body x=1><body y=2>",
-}
+}, hostileSeeds(1<<10)...)
 
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {

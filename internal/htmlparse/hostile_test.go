@@ -1,0 +1,64 @@
+package htmlparse
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+// hostileShape is an input that is one token however long it grows: a
+// prefix, a unit repeated to the wanted size, and a suffix. Each makes
+// the tokenizer build one string or scan one run for its whole length,
+// where a builder that copies per append, or a scan that rereads the
+// rest of the input per chunk, turns quadratic.
+type hostileShape struct {
+	name, prefix, unit, suffix string
+}
+
+var hostileShapes = []hostileShape{
+	{"comment dashes", "<!--", "a-", "-->"},
+	{"comment less-thans", "<!--", "<", "-->"},
+	{"textarea end tag name", "<textarea></", "A", ""},
+	{"doctype public ID of NULs", `<!DOCTYPE html PUBLIC "`, "\x00", `">`},
+	{"attribute of references", `<a href="`, "&amp;", `">`},
+	{"text of references", "", "&amp;", ""},
+	{"plain comment", "<!--", "a", "-->"},
+}
+
+// input returns the shape with its unit repeated to about size bytes.
+func (s hostileShape) input(size int) string {
+	return s.prefix + strings.Repeat(s.unit, size/len(s.unit)) + s.suffix
+}
+
+// hostileSeeds returns every shape at about size bytes.
+func hostileSeeds(size int) []string {
+	var out []string
+	for _, s := range hostileShapes {
+		out = append(out, s.input(size))
+	}
+	return out
+}
+
+// TestHostileShapesParseInLinearTime parses each shape at 1 MiB within
+// a second, ten under the race detector, whose instrumentation slows the
+// per-character states about tenfold. Linear work takes milliseconds (a
+// few hundred for the NULs, which record a million parse errors); one
+// quadratic step takes minutes.
+func TestHostileShapesParseInLinearTime(t *testing.T) {
+	budget := time.Second
+	if raceEnabled {
+		budget *= 10
+	}
+	for _, s := range hostileShapes {
+		t.Run(s.name, func(t *testing.T) {
+			in := []byte(s.input(1 << 20))
+			start := time.Now()
+			if _, err := Parse(in); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > budget {
+				t.Errorf("1 MiB parse took %v, budget %v", d, budget)
+			}
+		})
+	}
+}

@@ -76,14 +76,18 @@ func (p *Parser) reset(input []byte, opts Options) {
 // keeps only the cleared ones.
 func (p *Parser) scrub() {
 	z := &p.z
+	// The accumulators empty themselves and keep their buffers.
+	z.text.reset()
+	z.data.reset()
+	z.name.reset()
+	z.value.reset()
 	*z = Tokenizer{
 		AllowCDATA: z.AllowCDATA, // closes over p's own tree builder only
 		queue:      clearCap(z.queue),
-		textBuf:    z.textBuf[:0],
-		attrName:   z.attrName[:0],
-		attrValue:  z.attrValue[:0],
-		attrRaw:    z.attrRaw[:0],
-		tmpBuf:     z.tmpBuf[:0],
+		text:       z.text,
+		data:       z.data,
+		name:       z.name,
+		value:      z.value,
 		errors:     clearCap(z.errors),
 	}
 	tb := &p.tb

@@ -137,37 +137,111 @@ type Tokenizer struct {
 	queue  []Token
 	qhead  int // queue read index; lets Next reuse the queue's backing array
 
-	textBuf  []byte //hv:view recycled text scratch, reset to [:0] between parses
-	textPos  Position
-	haveText bool
-	// Zero-copy text tracking: while a pending character run is exactly one
-	// contiguous, untransformed span of the input, it is carried as
-	// [spanStart, spanEnd) instead of being copied into textBuf. The first
-	// transformation (character reference, NUL replacement) or
-	// discontinuity materializes the span into textBuf and falls back to
-	// the copying path.
-	spanStart, spanEnd int
-	spanOK             bool
+	// Token strings in progress. text is the pending character run, which
+	// starts at textPos; data is the current tag's name (until the tag is
+	// emitted), comment or doctype field; name and value belong to the
+	// current attribute.
+	text, data, name, value strAcc
+	textPos                 Position
 
 	cur Token
 
-	attrName  []byte //hv:view recycled attribute-name scratch
-	attrValue []byte //hv:view recycled attribute-value scratch
-	attrRaw   []byte //hv:view recycled raw-attribute-value scratch
-	// Zero-copy attribute tracking, same scheme as the text span: while the
-	// in-progress attribute name (or value) is one untransformed input
-	// span, no bytes are copied and finishAttr emits string views instead.
-	nameSpanStart, nameSpanEnd int
-	nameSpanOK                 bool
-	valSpanStart, valSpanEnd   int
-	valSpanOK                  bool
-	attrPending                bool
-
-	attrQuote  byte
-	attrPos    Position
-	tmpBuf     []byte //hv:view recycled character-reference scratch
+	attrPending bool
+	attrQuote   byte
+	attrPos     Position
+	// valStart is the offset of the current attribute value's first byte,
+	// or -1 while the attribute has no value.
+	valStart int
+	// tmpStart is the offset where the letters of the spec's temporary
+	// buffer begin: a raw-text end tag name, or a script double-escape
+	// keyword.
+	tmpStart   int
 	emittedEOF bool
 }
+
+// strAcc accumulates one token string. While everything added is one
+// contiguous run of untransformed input, the string is only the view
+// input[start:end]. The first transformed byte (case folding, U+FFFD for
+// NUL, a decoded character reference) or discontiguous run copies the
+// view into buf, which takes everything from then on. take hands out the
+// view itself or a copy of buf, so a plain run is never copied and, once
+// buf has grown, a transformed one allocates only its result.
+type strAcc struct {
+	start, end int
+	copied     bool
+	buf        []byte //hv:view recycled scratch, reset to [:0] by take
+}
+
+//hv:hotpath emptiness test behind every text append
+func (a *strAcc) empty() bool { return !a.copied && a.start == a.end }
+
+// add appends the input bytes in[from:to].
+//
+//hv:hotpath every source byte of every token string passes through here
+func (a *strAcc) add(in []byte, from, to int) {
+	switch {
+	case from == to:
+	case a.copied:
+		a.buf = append(a.buf, in[from:to]...)
+	case a.start == a.end:
+		a.start, a.end = from, to
+	case a.end == from:
+		a.end = to
+	default:
+		a.spill(in)
+		a.buf = append(a.buf, in[from:to]...)
+	}
+}
+
+// addRune appends r, a character that is not the input's at this point.
+//
+//hv:hotpath per-rune transformed append into recycled scratch
+func (a *strAcc) addRune(in []byte, r rune) {
+	a.spill(in)
+	a.buf = utf8.AppendRune(a.buf, r)
+}
+
+// addString appends a decoded character reference.
+//
+//hv:hotpath decoded character reference append into recycled scratch
+func (a *strAcc) addString(in []byte, s string) {
+	a.spill(in)
+	a.buf = append(a.buf, s...)
+}
+
+//hv:hotpath the one copy of a view into buf
+func (a *strAcc) spill(in []byte) {
+	if !a.copied {
+		a.buf = append(a.buf[:0], in[a.start:a.end]...)
+		a.copied = true
+	}
+}
+
+// bytes returns the string so far, a view of in or of buf.
+//
+//hv:view aliases the input or the recycled buf
+func (a *strAcc) bytes(in []byte) []byte {
+	if a.copied {
+		return a.buf
+	}
+	return in[a.start:a.end]
+}
+
+// take returns the string — a view of in while it is one untransformed
+// run, else a copy of buf — and empties a.
+//
+//hv:view a plain run comes back as a view of in
+func (a *strAcc) take(in []byte) string {
+	s := zcString(in[a.start:a.end])
+	if a.copied {
+		s = string(a.buf)
+	}
+	a.reset()
+	return s
+}
+
+// reset empties a, keeping buf's capacity.
+func (a *strAcc) reset() { *a = strAcc{buf: a.buf[:0]} }
 
 // NewTokenizer returns a tokenizer over a preprocessed input stream (see
 // Preprocess). Standalone use gets automatic raw-text switching.
@@ -191,6 +265,11 @@ func (z *Tokenizer) StartRawText(tag string) {
 // position reports the tokenizer's current position.
 func (z *Tokenizer) position() Position {
 	return Position{Offset: z.pos, Line: z.line, Col: z.col}
+}
+
+// prevPosition reports the position of the character consumed last.
+func (z *Tokenizer) prevPosition() Position {
+	return Position{Offset: z.prevPos, Line: z.prevLine, Col: z.prevCol}
 }
 
 //hv:hotpath per-character cursor advance, one call per input rune
@@ -246,55 +325,65 @@ func (z *Tokenizer) advance(chunk []byte) {
 	z.pos += len(chunk)
 }
 
-// scanUntil consumes and returns the maximal run of input containing
-// neither stop byte nor NUL (NUL always terminates a run because every
-// content state treats it specially). Pass the same byte twice to scan
-// for a single stop byte. The stop byte itself is left unconsumed for the
-// caller's next() switch.
+// scanWindow is the first window scanUntil searches. Each further window
+// doubles, so a call reads at most twice as far as its nearest stop byte
+// (or scanWindow bytes), however far away the other stop bytes lie.
+// Searching the whole rest of the input for every stop byte would read
+// past a far stop again on each chunk: quadratic on a long run of
+// character references or comment dashes.
+const scanWindow = 256
+
+// scanUntil consumes the maximal run of input containing neither stop
+// byte nor NUL (NUL always terminates a run because every content state
+// treats it specially). Pass the same byte twice to scan for a single
+// stop byte. The stop byte itself is left unconsumed for the caller's
+// next() switch.
 //
 //hv:hotpath memchr-style bulk scan, the benchmark-gated fast path
-func (z *Tokenizer) scanUntil(stop1, stop2 byte) []byte {
+func (z *Tokenizer) scanUntil(stop1, stop2 byte) {
 	s := z.input[z.pos:]
 	n := len(s)
-	if i := bytes.IndexByte(s, stop1); i >= 0 {
-		n = i
-	}
-	if stop2 != stop1 {
-		if i := bytes.IndexByte(s[:n], stop2); i >= 0 {
-			n = i
+	for lo, hi := 0, scanWindow; lo < len(s); lo, hi = hi, 2*hi {
+		end := min(hi, len(s))
+		w := s[lo:end]
+		if i := bytes.IndexByte(w, stop1); i >= 0 {
+			w = w[:i]
+		}
+		if stop2 != stop1 {
+			if i := bytes.IndexByte(w, stop2); i >= 0 {
+				w = w[:i]
+			}
+		}
+		if stop1 != 0 {
+			if i := bytes.IndexByte(w, 0); i >= 0 {
+				w = w[:i]
+			}
+		}
+		if lo+len(w) < end {
+			n = lo + len(w)
+			break
 		}
 	}
-	if stop1 != 0 {
-		if i := bytes.IndexByte(s[:n], 0); i >= 0 {
-			n = i
-		}
+	if n > 0 {
+		z.advance(s[:n])
 	}
-	if n == 0 {
-		return nil
-	}
-	chunk := s[:n]
-	z.advance(chunk)
-	return chunk
 }
 
-// scanTable consumes and returns the maximal run of bytes b with safe[b]
-// set. Tables mark every byte a state passes through verbatim; bytes
-// needing a transformation (case folding, NUL replacement), a transition,
-// or a parse error stay unsafe so the per-rune switch handles them.
+// scanTable consumes the maximal run of bytes b with safe[b] set. Tables
+// mark every byte a state passes through verbatim; bytes needing a
+// transformation (case folding, NUL replacement), a transition, or a
+// parse error stay unsafe so the per-rune switch handles them.
 //
 //hv:hotpath table-driven bulk scan, the benchmark-gated fast path
-func (z *Tokenizer) scanTable(safe *[256]bool) []byte {
+func (z *Tokenizer) scanTable(safe *[256]bool) {
 	s := z.input
 	i := z.pos
 	for i < len(s) && safe[s[i]] {
 		i++
 	}
-	if i == z.pos {
-		return nil
+	if i > z.pos {
+		z.advance(s[z.pos:i])
 	}
-	chunk := s[z.pos:i]
-	z.advance(chunk)
-	return chunk
 }
 
 // tagNameSafe marks bytes a tag name carries verbatim: everything except
@@ -333,74 +422,71 @@ func (z *Tokenizer) parseError(code ErrorCode, detail string) {
 	z.errors = append(z.errors, ParseError{Code: code, Pos: z.position(), Detail: detail})
 }
 
-//hv:hotpath per-rune text accumulation into recycled scratch
-func (z *Tokenizer) appendText(r rune) {
-	if !z.haveText {
-		// The run starts at the character just consumed.
-		z.textPos = Position{Offset: z.prevPos, Line: z.prevLine, Col: z.prevCol}
-		z.haveText = true
-	}
-	z.materializeTextSpan()
-	z.textBuf = utf8.AppendRune(z.textBuf, r)
-}
-
-//hv:hotpath text accumulation for decoded character references
-func (z *Tokenizer) appendTextString(s string) {
-	if s == "" {
-		return
-	}
-	if !z.haveText {
-		z.textPos = Position{Offset: z.prevPos, Line: z.prevLine, Col: z.prevCol}
-		z.haveText = true
-	}
-	z.materializeTextSpan()
-	z.textBuf = append(z.textBuf, s...)
-}
-
-// appendTextChunk adds a bulk-scanned input span [off, off+n) to the
-// pending character run. A run that starts with a chunk stays a zero-copy
-// span while subsequent chunks extend it contiguously; any per-rune
-// append or discontinuity first materializes the span into textBuf.
+// ---- the pending character run ----
 //
-//hv:hotpath chunked text accumulation, zero-copy span fast path
-func (z *Tokenizer) appendTextChunk(off, n, line, col int) {
-	if !z.haveText {
-		z.textPos = Position{Offset: off, Line: line, Col: col}
-		z.haveText = true
-		z.spanStart, z.spanEnd, z.spanOK = off, off+n, true
-		return
+// A run starts at the first byte of a scanned chunk. Any other first
+// append starts it at the character consumed last: for a '<' or "</"
+// that turns out to be text, the character after it; for a character
+// reference, its last character. The recorded token positions depend on
+// this rule.
+
+//hv:hotpath run-start bookkeeping for every text append
+func (z *Tokenizer) beginText() {
+	if z.text.empty() {
+		z.textPos = z.prevPosition()
 	}
-	if z.spanOK && z.spanEnd == off {
-		z.spanEnd += n
-		return
-	}
-	z.materializeTextSpan()
-	z.textBuf = append(z.textBuf, z.input[off:off+n]...)
 }
 
-//hv:hotpath span fallback shared by every text append
-func (z *Tokenizer) materializeTextSpan() {
-	if z.spanOK {
-		z.textBuf = append(z.textBuf, z.input[z.spanStart:z.spanEnd]...)
-		z.spanOK = false
+// addText adds the input bytes [from, to) to the pending run.
+//
+//hv:hotpath source-byte text accumulation
+func (z *Tokenizer) addText(from, to int) {
+	z.beginText()
+	z.text.add(z.input, from, to)
+}
+
+// addTextChar adds the character just consumed to the pending run.
+//
+//hv:hotpath per-character text accumulation
+func (z *Tokenizer) addTextChar() { z.addText(z.prevPos, z.pos) }
+
+// addTextRune adds r, a replacement character, to the pending run.
+//
+//hv:hotpath per-rune text accumulation into recycled scratch
+func (z *Tokenizer) addTextRune(r rune) {
+	z.beginText()
+	z.text.addRune(z.input, r)
+}
+
+// scanText adds the run scanUntil consumes to the pending run.
+//
+//hv:hotpath chunked text accumulation, zero-copy fast path
+func (z *Tokenizer) scanText(stop1, stop2 byte) {
+	start := z.position()
+	z.scanUntil(stop1, stop2)
+	if z.pos == start.Offset {
+		return
+	}
+	if z.text.empty() {
+		z.textPos = start
+	}
+	z.text.add(z.input, start.Offset, z.pos)
+}
+
+// textCharRef decodes a character reference into the pending run.
+func (z *Tokenizer) textCharRef() {
+	fresh := z.text.empty()
+	z.consumeCharRef(&z.text, false)
+	if fresh {
+		z.textPos = z.prevPosition()
 	}
 }
 
 func (z *Tokenizer) flushText() {
-	if !z.haveText {
+	if z.text.empty() {
 		return
 	}
-	var data string
-	if z.spanOK && len(z.textBuf) == 0 {
-		data = zcString(z.input[z.spanStart:z.spanEnd])
-	} else {
-		z.materializeTextSpan()
-		data = string(z.textBuf)
-	}
-	z.queue = append(z.queue, Token{Type: CharacterToken, Data: data, Pos: z.textPos})
-	z.textBuf = z.textBuf[:0]
-	z.haveText = false
-	z.spanOK = false
+	z.queue = append(z.queue, Token{Type: CharacterToken, Data: z.text.take(z.input), Pos: z.textPos})
 }
 
 func (z *Tokenizer) emit(t Token) {
@@ -445,68 +531,30 @@ func (z *Tokenizer) newTag(tt TokenType) {
 	z.cur = Token{Type: tt, Pos: z.position()}
 }
 
+// addChar adds the character just consumed to a.
+func (z *Tokenizer) addChar(a *strAcc) { a.add(z.input, z.prevPos, z.pos) }
+
+// addLower adds r, the character just consumed, to a with ASCII case
+// folded.
+func (z *Tokenizer) addLower(a *strAcc, r rune) {
+	if isASCIIUpper(r) {
+		a.addRune(z.input, toLowerRune(r))
+		return
+	}
+	z.addChar(a)
+}
+
+// emitComment emits the current comment token with its accumulated data.
+func (z *Tokenizer) emitComment() {
+	z.cur.Data = z.data.take(z.input)
+	z.emit(z.cur)
+}
+
 func (z *Tokenizer) startNewAttr() {
-	z.attrName = z.attrName[:0]
-	z.attrValue = z.attrValue[:0]
-	z.attrRaw = z.attrRaw[:0]
 	z.attrQuote = 0
 	z.attrPos = z.position()
-	z.nameSpanOK = false
-	z.valSpanOK = false
+	z.valStart = -1
 	z.attrPending = true
-}
-
-// appendNameChunk adds a bulk-scanned span to the in-progress attribute
-// name, keeping it zero-copy while it is one contiguous untransformed run.
-//
-//hv:hotpath chunked attribute-name accumulation
-func (z *Tokenizer) appendNameChunk(off, n int) {
-	if z.nameSpanOK && z.nameSpanEnd == off {
-		z.nameSpanEnd += n
-		return
-	}
-	if !z.nameSpanOK && len(z.attrName) == 0 {
-		z.nameSpanStart, z.nameSpanEnd, z.nameSpanOK = off, off+n, true
-		return
-	}
-	z.materializeNameSpan()
-	z.attrName = append(z.attrName, z.input[off:off+n]...)
-}
-
-//hv:hotpath span fallback for attribute names
-func (z *Tokenizer) materializeNameSpan() {
-	if z.nameSpanOK {
-		z.attrName = append(z.attrName, z.input[z.nameSpanStart:z.nameSpanEnd]...)
-		z.nameSpanOK = false
-	}
-}
-
-// appendValueChunk is appendNameChunk for the value; a plain byte run
-// contributes identically to the decoded value and the raw source, so one
-// span stands in for both buffers.
-//
-//hv:hotpath chunked attribute-value accumulation
-func (z *Tokenizer) appendValueChunk(off, n int) {
-	if z.valSpanOK && z.valSpanEnd == off {
-		z.valSpanEnd += n
-		return
-	}
-	if !z.valSpanOK && len(z.attrValue) == 0 && len(z.attrRaw) == 0 {
-		z.valSpanStart, z.valSpanEnd, z.valSpanOK = off, off+n, true
-		return
-	}
-	z.materializeValSpan()
-	z.attrValue = append(z.attrValue, z.input[off:off+n]...)
-	z.attrRaw = append(z.attrRaw, z.input[off:off+n]...)
-}
-
-//hv:hotpath span fallback for attribute values
-func (z *Tokenizer) materializeValSpan() {
-	if z.valSpanOK {
-		z.attrValue = append(z.attrValue, z.input[z.valSpanStart:z.valSpanEnd]...)
-		z.attrRaw = append(z.attrRaw, z.input[z.valSpanStart:z.valSpanEnd]...)
-		z.valSpanOK = false
-	}
 }
 
 // finishAttr commits the in-progress attribute to the current tag token,
@@ -516,43 +564,31 @@ func (z *Tokenizer) finishAttr() {
 		return
 	}
 	z.attrPending = false
-	var name string
-	if z.nameSpanOK && len(z.attrName) == 0 {
-		name = zcString(z.input[z.nameSpanStart:z.nameSpanEnd])
-	} else {
-		z.materializeNameSpan()
-		name = string(z.attrName)
-	}
 	a := Attribute{
-		Name:  name,
+		Name:  z.name.take(z.input),
 		Quote: z.attrQuote,
 		Pos:   z.attrPos,
 	}
-	if z.valSpanOK && len(z.attrValue) == 0 && len(z.attrRaw) == 0 {
-		v := zcString(z.input[z.valSpanStart:z.valSpanEnd])
-		a.Value, a.RawValue = v, v
-	} else {
-		z.materializeValSpan()
-		a.Value = string(z.attrValue)
-		a.RawValue = string(z.attrRaw)
+	if z.valStart >= 0 {
+		// A value is finished on the delimiter just consumed; its raw
+		// form is the source between the delimiters.
+		a.Value = z.value.take(z.input)
+		a.RawValue = zcString(z.input[z.valStart:z.prevPos])
 	}
 	for i := range z.cur.Attr {
-		if z.cur.Attr[i].Name == name {
+		if z.cur.Attr[i].Name == a.Name {
 			a.Duplicate = true
-			z.parseError(ErrDuplicateAttribute, name)
+			z.parseError(ErrDuplicateAttribute, a.Name)
 			break
 		}
 	}
 	z.cur.Attr = append(z.cur.Attr, a)
-	z.attrName = z.attrName[:0]
-	z.attrValue = z.attrValue[:0]
-	z.attrRaw = z.attrRaw[:0]
-	z.attrQuote = 0
-	z.nameSpanOK = false
-	z.valSpanOK = false
 }
 
+// emitCurrentTag emits the current tag token, its name taken from data,
+// where it stays through the attribute states.
 func (z *Tokenizer) emitCurrentTag() {
+	z.cur.Data = z.data.take(z.input)
 	z.finishAttr()
 	if z.cur.Type == EndTagToken {
 		if len(z.cur.Attr) > 0 {
@@ -567,34 +603,36 @@ func (z *Tokenizer) emitCurrentTag() {
 	z.emit(z.cur)
 }
 
-// appropriateEndTag reports whether the current end tag token matches the
-// last emitted start tag (relevant in RCDATA/RAWTEXT/script states).
+// appropriateEndTag reports whether the end tag name in progress matches
+// the last emitted start tag (relevant in RCDATA/RAWTEXT/script states).
 func (z *Tokenizer) appropriateEndTag() bool {
-	return z.cur.Data == z.lastStartTag
+	return string(z.data.bytes(z.input)) == z.lastStartTag
 }
 
 // ---- character references (spec 13.2.5.72 .. 13.2.5.80) ----
 
-// consumeCharRef runs the character reference algorithm. inAttr selects the
-// attribute-value variant. It returns the decoded text and the raw source
-// consumed (for RawValue bookkeeping).
-func (z *Tokenizer) consumeCharRef(inAttr bool) (decoded, raw string) {
-	start := z.pos // position after '&'
+// consumeCharRef runs the character reference algorithm on the input after
+// a '&' and adds the result to a: the replacement text, or the consumed
+// characters themselves when they name nothing. inAttr selects the
+// attribute-value variant.
+func (z *Tokenizer) consumeCharRef(a *strAcc, inAttr bool) {
+	amp := z.pos - 1
 	r := z.peek()
 	switch {
 	case isASCIIAlnum(r):
-		return z.consumeNamedCharRef(inAttr, start)
+		z.consumeNamedCharRef(a, inAttr, amp)
 	case r == '#':
 		z.next()
-		return z.consumeNumericCharRef(start)
+		z.consumeNumericCharRef(a, amp)
 	default:
-		return "&", "&"
+		a.add(z.input, amp, z.pos)
 	}
 }
 
-func (z *Tokenizer) consumeNamedCharRef(inAttr bool, start int) (decoded, raw string) {
+func (z *Tokenizer) consumeNamedCharRef(a *strAcc, inAttr bool, amp int) {
 	// Greedily take alphanumeric characters (bounded by the longest name),
 	// then find the longest match with or without a trailing semicolon.
+	start := amp + 1
 	end := start
 	for end < len(z.input) && end-start < maxEntityNameLen && isASCIIAlnumByte(z.input[end]) {
 		end++
@@ -606,7 +644,8 @@ func (z *Tokenizer) consumeNamedCharRef(inAttr bool, start int) (decoded, raw st
 		if withSemicolon {
 			if rep, ok := namedEntities[name]; ok {
 				z.advanceTo(start + l + 1)
-				return rep, "&" + name + ";"
+				a.addString(z.input, rep)
+				return
 			}
 		}
 		if rep, ok := legacyEntities[name]; ok {
@@ -620,7 +659,8 @@ func (z *Tokenizer) consumeNamedCharRef(inAttr bool, start int) (decoded, raw st
 			}
 			z.advanceTo(start + l)
 			z.parseError(ErrMissingSemicolonAfterCharRef, name)
-			return rep, "&" + name
+			a.addString(z.input, rep)
+			return
 		}
 	}
 	// No match: ambiguous ampersand. Flush the characters as-is; if the run
@@ -629,7 +669,7 @@ func (z *Tokenizer) consumeNamedCharRef(inAttr bool, start int) (decoded, raw st
 	if end < len(z.input) && z.input[end] == ';' && end > start {
 		z.parseError(ErrUnknownNamedCharacterReference, candidate)
 	}
-	return "&" + candidate, "&" + candidate
+	a.add(z.input, amp, end)
 }
 
 func isASCIIAlnumByte(b byte) bool {
@@ -652,7 +692,7 @@ func (z *Tokenizer) advanceTo(off int) {
 	z.advance(chunk[len(chunk)-last:])
 }
 
-func (z *Tokenizer) consumeNumericCharRef(ampStart int) (decoded, raw string) {
+func (z *Tokenizer) consumeNumericCharRef(a *strAcc, amp int) {
 	code := 0
 	digits := 0
 	hex := false
@@ -677,14 +717,13 @@ func (z *Tokenizer) consumeNumericCharRef(ampStart int) (decoded, raw string) {
 			code = 0x110000 // clamp; still counts as out of range
 		}
 	}
-	rawRef := "&" + string(z.input[ampStart:z.pos])
 	if digits == 0 {
 		z.parseError(ErrAbsenceOfDigitsInNumericCharRef, "")
-		return rawRef, rawRef
+		a.add(z.input, amp, z.pos)
+		return
 	}
 	if z.peek() == ';' {
 		z.next()
-		rawRef += ";"
 	} else {
 		z.parseError(ErrMissingSemicolonAfterCharRef, "")
 	}
@@ -707,7 +746,7 @@ func (z *Tokenizer) consumeNumericCharRef(ampStart int) (decoded, raw string) {
 			r = rep
 		}
 	}
-	return string(r), rawRef
+	a.addRune(z.input, r)
 }
 
 func hexVal(r rune) int {
@@ -719,14 +758,6 @@ func hexVal(r rune) int {
 	default:
 		return int(r-'A') + 10
 	}
-}
-
-// flushCharRefToAttr appends a decoded reference to the current attribute.
-func (z *Tokenizer) flushCharRefToAttr() {
-	dec, raw := z.consumeCharRef(true)
-	z.materializeValSpan()
-	z.attrValue = append(z.attrValue, dec...)
-	z.attrRaw = append(z.attrRaw, raw...)
 }
 
 // ---- the state machine ----
@@ -883,113 +914,96 @@ func (z *Tokenizer) step() {
 
 func (z *Tokenizer) dataState() {
 	for {
-		off, line, col := z.pos, z.line, z.col
-		if chunk := z.scanUntil('<', '&'); chunk != nil {
-			z.appendTextChunk(off, len(chunk), line, col)
-		}
+		z.scanText('<', '&')
 		switch r := z.next(); r {
 		case '&':
-			dec, _ := z.consumeCharRef(false)
-			z.appendTextString(dec)
+			z.textCharRef()
 		case '<':
 			z.state = stateTagOpen
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.appendText(0)
+			z.addTextChar()
 		case eofRune:
 			z.emitEOF()
 			return
 		default:
-			z.appendText(r)
+			z.addTextChar()
 		}
 	}
 }
 
 func (z *Tokenizer) rcdataState() {
 	for {
-		off, line, col := z.pos, z.line, z.col
-		if chunk := z.scanUntil('<', '&'); chunk != nil {
-			z.appendTextChunk(off, len(chunk), line, col)
-		}
+		z.scanText('<', '&')
 		switch r := z.next(); r {
 		case '&':
-			dec, _ := z.consumeCharRef(false)
-			z.appendTextString(dec)
+			z.textCharRef()
 		case '<':
 			z.state = stateRCDATALessThan
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.appendText('�')
+			z.addTextRune('�')
 		case eofRune:
 			z.emitEOF()
 			return
 		default:
-			z.appendText(r)
+			z.addTextChar()
 		}
 	}
 }
 
 func (z *Tokenizer) rawtextState() {
 	for {
-		off, line, col := z.pos, z.line, z.col
-		if chunk := z.scanUntil('<', '<'); chunk != nil {
-			z.appendTextChunk(off, len(chunk), line, col)
-		}
+		z.scanText('<', '<')
 		switch r := z.next(); r {
 		case '<':
 			z.state = stateRAWTEXTLessThan
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.appendText('�')
+			z.addTextRune('�')
 		case eofRune:
 			z.emitEOF()
 			return
 		default:
-			z.appendText(r)
+			z.addTextChar()
 		}
 	}
 }
 
 func (z *Tokenizer) scriptDataState() {
 	for {
-		off, line, col := z.pos, z.line, z.col
-		if chunk := z.scanUntil('<', '<'); chunk != nil {
-			z.appendTextChunk(off, len(chunk), line, col)
-		}
+		z.scanText('<', '<')
 		switch r := z.next(); r {
 		case '<':
 			z.state = stateScriptDataLessThan
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.appendText('�')
+			z.addTextRune('�')
 		case eofRune:
 			z.emitEOF()
 			return
 		default:
-			z.appendText(r)
+			z.addTextChar()
 		}
 	}
 }
 
 func (z *Tokenizer) plaintextState() {
 	for {
-		off, line, col := z.pos, z.line, z.col
-		if chunk := z.scanUntil(0, 0); chunk != nil {
-			z.appendTextChunk(off, len(chunk), line, col)
-		}
+		z.scanText(0, 0)
 		switch r := z.next(); r {
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.appendText('�')
+			z.addTextRune('�')
 		case eofRune:
 			z.emitEOF()
 			return
 		default:
-			z.appendText(r)
+			z.addTextChar()
 		}
 	}
 }
@@ -1011,11 +1025,11 @@ func (z *Tokenizer) tagOpenState() {
 		z.state = stateBogusComment
 	case r == eofRune:
 		z.parseError(ErrEOFBeforeTagName, "")
-		z.appendText('<')
+		z.addText(z.prevPos-1, z.prevPos)
 		z.emitEOF()
 	default:
 		z.parseError(ErrInvalidFirstCharacterOfTagName, string(r))
-		z.appendText('<')
+		z.addText(z.prevPos-1, z.prevPos)
 		z.back()
 		z.state = stateData
 	}
@@ -1032,7 +1046,7 @@ func (z *Tokenizer) endTagOpenState() {
 		z.state = stateData
 	case r == eofRune:
 		z.parseError(ErrEOFBeforeTagName, "")
-		z.appendTextString("</")
+		z.addText(z.prevPos-2, z.prevPos)
 		z.emitEOF()
 	default:
 		z.parseError(ErrInvalidFirstCharacterOfTagName, string(r))
@@ -1043,62 +1057,42 @@ func (z *Tokenizer) endTagOpenState() {
 }
 
 func (z *Tokenizer) tagNameState() {
-	// Fast path: most tag names are a single lowercase run ending at a
-	// terminator, which commits as a zero-copy view of the input. The slow
-	// buffer only exists once a byte needs folding or replacement.
-	start := z.pos
-	var slow []byte
 	for {
+		off := z.pos
 		z.scanTable(tagNameSafe)
-		end := z.pos
+		z.data.add(z.input, off, z.pos)
 		r := z.next()
 		switch {
 		case isWhitespace(r):
-			z.commitTagName(slow, start, end)
 			z.state = stateBeforeAttributeName
 			return
 		case r == '/':
-			z.commitTagName(slow, start, end)
 			z.state = stateSelfClosingStartTag
 			return
 		case r == '>':
-			z.commitTagName(slow, start, end)
 			z.state = stateData
 			z.emitCurrentTag()
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			slow = append(slow, z.input[start:end]...)
-			slow = utf8.AppendRune(slow, '�')
-			start = z.pos
+			z.data.addRune(z.input, '�')
 		case r == eofRune:
 			z.parseError(ErrEOFInTag, "")
 			z.emitEOF()
 			return
 		default:
-			slow = append(slow, z.input[start:end]...)
-			slow = utf8.AppendRune(slow, toLowerRune(r))
-			start = z.pos
+			z.addLower(&z.data, r)
 		}
 	}
-}
-
-func (z *Tokenizer) commitTagName(slow []byte, start, end int) {
-	if slow == nil {
-		z.cur.Data = zcString(z.input[start:end])
-		return
-	}
-	z.cur.Data = string(append(slow, z.input[start:end]...))
 }
 
 // rawLessThanState handles the "< in RCDATA/RAWTEXT" states.
 func (z *Tokenizer) rawLessThanState(content, endTagOpen state) {
 	if z.next() == '/' {
-		z.tmpBuf = z.tmpBuf[:0]
 		z.state = endTagOpen
 		return
 	}
-	z.appendText('<')
+	z.addText(z.prevPos-1, z.prevPos)
 	z.back()
 	z.state = content
 }
@@ -1106,11 +1100,12 @@ func (z *Tokenizer) rawLessThanState(content, endTagOpen state) {
 func (z *Tokenizer) rawEndTagOpenState(content, endTagName state) {
 	if r := z.next(); isASCIIAlpha(r) {
 		z.newTag(EndTagToken)
+		z.tmpStart = z.prevPos
 		z.back()
 		z.state = endTagName
 		return
 	}
-	z.appendTextString("</")
+	z.addText(z.prevPos-2, z.prevPos)
 	z.back()
 	z.state = content
 }
@@ -1130,11 +1125,11 @@ func (z *Tokenizer) rawEndTagNameState(content state) {
 			z.emitCurrentTag()
 			return
 		case isASCIIAlpha(r):
-			z.cur.Data += string(toLowerRune(r))
-			z.tmpBuf = utf8.AppendRune(z.tmpBuf, r)
+			z.addLower(&z.data, r)
 		default:
-			z.appendTextString("</")
-			z.appendTextString(string(z.tmpBuf))
+			// Not this element's end tag: "</" and the letters are text.
+			z.data.reset()
+			z.addText(z.tmpStart-2, z.prevPos)
 			z.back()
 			z.state = content
 			return
@@ -1145,13 +1140,12 @@ func (z *Tokenizer) rawEndTagNameState(content state) {
 func (z *Tokenizer) scriptDataLessThanState() {
 	switch r := z.next(); r {
 	case '/':
-		z.tmpBuf = z.tmpBuf[:0]
 		z.state = stateScriptDataEndTagOpen
 	case '!':
 		z.state = stateScriptDataEscapeStart
-		z.appendTextString("<!")
+		z.addText(z.prevPos-1, z.pos)
 	default:
-		z.appendText('<')
+		z.addText(z.prevPos-1, z.prevPos)
 		z.back()
 		z.state = stateScriptData
 	}
@@ -1160,7 +1154,7 @@ func (z *Tokenizer) scriptDataLessThanState() {
 func (z *Tokenizer) scriptDataEscapeStartState() {
 	if z.next() == '-' {
 		z.state = stateScriptDataEscapeStartDash
-		z.appendText('-')
+		z.addTextChar()
 		return
 	}
 	z.back()
@@ -1170,7 +1164,7 @@ func (z *Tokenizer) scriptDataEscapeStartState() {
 func (z *Tokenizer) scriptDataEscapeStartDashState() {
 	if z.next() == '-' {
 		z.state = stateScriptDataEscapedDashDash
-		z.appendText('-')
+		z.addTextChar()
 		return
 	}
 	z.back()
@@ -1181,17 +1175,17 @@ func (z *Tokenizer) scriptDataEscapedState() {
 	switch r := z.next(); r {
 	case '-':
 		z.state = stateScriptDataEscapedDash
-		z.appendText('-')
+		z.addTextChar()
 	case '<':
 		z.state = stateScriptDataEscapedLessThan
 	case 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.appendText('�')
+		z.addTextRune('�')
 	case eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
-		z.appendText(r)
+		z.addTextChar()
 	}
 }
 
@@ -1199,74 +1193,78 @@ func (z *Tokenizer) scriptDataEscapedDashState() {
 	switch r := z.next(); r {
 	case '-':
 		z.state = stateScriptDataEscapedDashDash
-		z.appendText('-')
+		z.addTextChar()
 	case '<':
 		z.state = stateScriptDataEscapedLessThan
 	case 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
 		z.state = stateScriptDataEscaped
-		z.appendText('�')
+		z.addTextRune('�')
 	case eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
 		z.state = stateScriptDataEscaped
-		z.appendText(r)
+		z.addTextChar()
 	}
 }
 
 func (z *Tokenizer) scriptDataEscapedDashDashState() {
 	switch r := z.next(); r {
 	case '-':
-		z.appendText('-')
+		z.addTextChar()
 	case '<':
 		z.state = stateScriptDataEscapedLessThan
 	case '>':
 		z.state = stateScriptData
-		z.appendText('>')
+		z.addTextChar()
 	case 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
 		z.state = stateScriptDataEscaped
-		z.appendText('�')
+		z.addTextRune('�')
 	case eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
 		z.state = stateScriptDataEscaped
-		z.appendText(r)
+		z.addTextChar()
 	}
 }
 
 func (z *Tokenizer) scriptDataEscapedLessThanState() {
 	switch r := z.next(); {
 	case r == '/':
-		z.tmpBuf = z.tmpBuf[:0]
 		z.state = stateScriptDataEscapedEndTagOpen
 	case isASCIIAlpha(r):
-		z.tmpBuf = z.tmpBuf[:0]
-		z.appendText('<')
+		z.tmpStart = z.prevPos
+		z.addText(z.prevPos-1, z.prevPos)
 		z.back()
 		z.state = stateScriptDataDoubleEscapeStart
 	default:
-		z.appendText('<')
+		z.addText(z.prevPos-1, z.prevPos)
 		z.back()
 		z.state = stateScriptDataEscaped
 	}
+}
+
+// tmpIsScript reports whether the letters since tmpStart, up to the
+// character just consumed, spell "script" in any case.
+func (z *Tokenizer) tmpIsScript() bool {
+	return strings.EqualFold(zcString(z.input[z.tmpStart:z.prevPos]), "script")
 }
 
 func (z *Tokenizer) scriptDataDoubleEscapeStartState() {
 	r := z.next()
 	switch {
 	case isWhitespace(r) || r == '/' || r == '>':
-		if string(z.tmpBuf) == "script" {
+		if z.tmpIsScript() {
 			z.state = stateScriptDataDoubleEscaped
 		} else {
 			z.state = stateScriptDataEscaped
 		}
-		z.appendText(r)
+		z.addTextChar()
 	case isASCIIAlpha(r):
-		z.tmpBuf = utf8.AppendRune(z.tmpBuf, toLowerRune(r))
-		z.appendText(r)
+		z.addTextChar()
 	default:
 		z.back()
 		z.state = stateScriptDataEscaped
@@ -1277,18 +1275,18 @@ func (z *Tokenizer) scriptDataDoubleEscapedState() {
 	switch r := z.next(); r {
 	case '-':
 		z.state = stateScriptDataDoubleEscapedDash
-		z.appendText('-')
+		z.addTextChar()
 	case '<':
 		z.state = stateScriptDataDoubleEscapedLessThan
-		z.appendText('<')
+		z.addTextChar()
 	case 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.appendText('�')
+		z.addTextRune('�')
 	case eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
-		z.appendText(r)
+		z.addTextChar()
 	}
 }
 
@@ -1296,51 +1294,51 @@ func (z *Tokenizer) scriptDataDoubleEscapedDashState() {
 	switch r := z.next(); r {
 	case '-':
 		z.state = stateScriptDataDoubleEscapedDashDash
-		z.appendText('-')
+		z.addTextChar()
 	case '<':
 		z.state = stateScriptDataDoubleEscapedLessThan
-		z.appendText('<')
+		z.addTextChar()
 	case 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
 		z.state = stateScriptDataDoubleEscaped
-		z.appendText('�')
+		z.addTextRune('�')
 	case eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
 		z.state = stateScriptDataDoubleEscaped
-		z.appendText(r)
+		z.addTextChar()
 	}
 }
 
 func (z *Tokenizer) scriptDataDoubleEscapedDashDashState() {
 	switch r := z.next(); r {
 	case '-':
-		z.appendText('-')
+		z.addTextChar()
 	case '<':
 		z.state = stateScriptDataDoubleEscapedLessThan
-		z.appendText('<')
+		z.addTextChar()
 	case '>':
 		z.state = stateScriptData
-		z.appendText('>')
+		z.addTextChar()
 	case 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
 		z.state = stateScriptDataDoubleEscaped
-		z.appendText('�')
+		z.addTextRune('�')
 	case eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
 		z.state = stateScriptDataDoubleEscaped
-		z.appendText(r)
+		z.addTextChar()
 	}
 }
 
 func (z *Tokenizer) scriptDataDoubleEscapedLessThanState() {
 	if z.next() == '/' {
-		z.tmpBuf = z.tmpBuf[:0]
+		z.tmpStart = z.pos
 		z.state = stateScriptDataDoubleEscapeEnd
-		z.appendText('/')
+		z.addTextChar()
 		return
 	}
 	z.back()
@@ -1351,15 +1349,14 @@ func (z *Tokenizer) scriptDataDoubleEscapeEndState() {
 	r := z.next()
 	switch {
 	case isWhitespace(r) || r == '/' || r == '>':
-		if string(z.tmpBuf) == "script" {
+		if z.tmpIsScript() {
 			z.state = stateScriptDataEscaped
 		} else {
 			z.state = stateScriptDataDoubleEscaped
 		}
-		z.appendText(r)
+		z.addTextChar()
 	case isASCIIAlpha(r):
-		z.tmpBuf = utf8.AppendRune(z.tmpBuf, toLowerRune(r))
-		z.appendText(r)
+		z.addTextChar()
 	default:
 		z.back()
 		z.state = stateScriptDataDoubleEscaped
@@ -1379,7 +1376,7 @@ func (z *Tokenizer) beforeAttributeNameState() {
 		case r == '=':
 			z.parseError(ErrUnexpectedEqualsSignBeforeAttrName, "")
 			z.startNewAttr()
-			z.attrName = append(z.attrName, '=')
+			z.addChar(&z.name)
 			z.state = stateAttributeName
 			return
 		default:
@@ -1394,9 +1391,8 @@ func (z *Tokenizer) beforeAttributeNameState() {
 func (z *Tokenizer) attributeNameState() {
 	for {
 		off := z.pos
-		if chunk := z.scanTable(attrNameSafe); chunk != nil {
-			z.appendNameChunk(off, len(chunk))
-		}
+		z.scanTable(attrNameSafe)
+		z.name.add(z.input, off, z.pos)
 		r := z.next()
 		switch {
 		case isWhitespace(r) || r == '/' || r == '>' || r == eofRune:
@@ -1406,20 +1402,14 @@ func (z *Tokenizer) attributeNameState() {
 		case r == '=':
 			z.state = stateBeforeAttributeValue
 			return
-		case isASCIIUpper(r):
-			z.materializeNameSpan()
-			z.attrName = utf8.AppendRune(z.attrName, toLowerRune(r))
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.materializeNameSpan()
-			z.attrName = utf8.AppendRune(z.attrName, '�')
+			z.name.addRune(z.input, '�')
 		case r == '"' || r == '\'' || r == '<':
 			z.parseError(ErrUnexpectedCharacterInAttributeName, string(r))
-			z.materializeNameSpan()
-			z.attrName = utf8.AppendRune(z.attrName, r)
+			z.addChar(&z.name)
 		default:
-			z.materializeNameSpan()
-			z.attrName = utf8.AppendRune(z.attrName, r)
+			z.addLower(&z.name, r)
 		}
 	}
 }
@@ -1464,20 +1454,23 @@ func (z *Tokenizer) beforeAttributeValueState() {
 			// ignore
 		case r == '"':
 			z.attrQuote = '"'
+			z.valStart = z.pos
 			z.state = stateAttributeValueDoubleQuoted
 			return
 		case r == '\'':
 			z.attrQuote = '\''
+			z.valStart = z.pos
 			z.state = stateAttributeValueSingleQuoted
 			return
 		case r == '>':
-			z.parseError(ErrMissingAttributeValue, string(z.attrName))
+			z.parseError(ErrMissingAttributeValue, string(z.name.bytes(z.input)))
 			z.finishAttr()
 			z.state = stateData
 			z.emitCurrentTag()
 			return
 		default:
 			z.back()
+			z.valStart = z.pos
 			z.state = stateAttributeValueUnquoted
 			return
 		}
@@ -1487,9 +1480,8 @@ func (z *Tokenizer) beforeAttributeValueState() {
 func (z *Tokenizer) attributeValueQuotedState(quote rune) {
 	for {
 		off := z.pos
-		if chunk := z.scanUntil(byte(quote), '&'); chunk != nil {
-			z.appendValueChunk(off, len(chunk))
-		}
+		z.scanUntil(byte(quote), '&')
+		z.value.add(z.input, off, z.pos)
 		r := z.next()
 		switch {
 		case r == quote:
@@ -1497,20 +1489,16 @@ func (z *Tokenizer) attributeValueQuotedState(quote rune) {
 			z.state = stateAfterAttributeValueQuoted
 			return
 		case r == '&':
-			z.flushCharRefToAttr()
+			z.consumeCharRef(&z.value, true)
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.materializeValSpan()
-			z.attrValue = utf8.AppendRune(z.attrValue, '�')
-			z.attrRaw = append(z.attrRaw, 0)
+			z.value.addRune(z.input, '�')
 		case r == eofRune:
 			z.parseError(ErrEOFInTag, "")
 			z.emitEOF()
 			return
 		default:
-			z.materializeValSpan()
-			z.attrValue = utf8.AppendRune(z.attrValue, r)
-			z.attrRaw = utf8.AppendRune(z.attrRaw, r)
+			z.addChar(&z.value)
 		}
 	}
 }
@@ -1518,9 +1506,8 @@ func (z *Tokenizer) attributeValueQuotedState(quote rune) {
 func (z *Tokenizer) attributeValueUnquotedState() {
 	for {
 		off := z.pos
-		if chunk := z.scanTable(unquotedValueSafe); chunk != nil {
-			z.appendValueChunk(off, len(chunk))
-		}
+		z.scanTable(unquotedValueSafe)
+		z.value.add(z.input, off, z.pos)
 		r := z.next()
 		switch {
 		case isWhitespace(r):
@@ -1528,7 +1515,7 @@ func (z *Tokenizer) attributeValueUnquotedState() {
 			z.state = stateBeforeAttributeName
 			return
 		case r == '&':
-			z.flushCharRefToAttr()
+			z.consumeCharRef(&z.value, true)
 		case r == '>':
 			z.finishAttr()
 			z.state = stateData
@@ -1536,22 +1523,16 @@ func (z *Tokenizer) attributeValueUnquotedState() {
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.materializeValSpan()
-			z.attrValue = utf8.AppendRune(z.attrValue, '�')
-			z.attrRaw = append(z.attrRaw, 0)
+			z.value.addRune(z.input, '�')
 		case r == '"' || r == '\'' || r == '<' || r == '=' || r == '`':
 			z.parseError(ErrUnexpectedCharInUnquotedAttrValue, string(r))
-			z.materializeValSpan()
-			z.attrValue = utf8.AppendRune(z.attrValue, r)
-			z.attrRaw = utf8.AppendRune(z.attrRaw, r)
+			z.addChar(&z.value)
 		case r == eofRune:
 			z.parseError(ErrEOFInTag, "")
 			z.emitEOF()
 			return
 		default:
-			z.materializeValSpan()
-			z.attrValue = utf8.AppendRune(z.attrValue, r)
-			z.attrRaw = utf8.AppendRune(z.attrRaw, r)
+			z.addChar(&z.value)
 		}
 	}
 }
@@ -1597,36 +1578,25 @@ func (z *Tokenizer) selfClosingStartTagState() {
 
 func (z *Tokenizer) bogusCommentState() {
 	for {
-		if chunk := z.scanUntil('>', '>'); chunk != nil {
-			z.appendComment(chunk)
-		}
+		off := z.pos
+		z.scanUntil('>', '>')
+		z.data.add(z.input, off, z.pos)
 		switch r := z.next(); r {
 		case '>':
 			z.state = stateData
-			z.emit(z.cur)
+			z.emitComment()
 			return
 		case eofRune:
-			z.emit(z.cur)
+			z.emitComment()
 			z.emitEOF()
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur.Data += "�"
+			z.data.addRune(z.input, '�')
 		default:
-			z.cur.Data += string(r)
+			z.addChar(&z.data)
 		}
 	}
-}
-
-// appendComment grows the current comment token's data. The first chunk of
-// a comment becomes a zero-copy view; later chunks (split by '-', '<' or
-// replacements) fall back to concatenation, which comment syntax keeps rare.
-func (z *Tokenizer) appendComment(chunk []byte) {
-	if z.cur.Data == "" {
-		z.cur.Data = zcString(chunk)
-		return
-	}
-	z.cur.Data += string(chunk)
 }
 
 func (z *Tokenizer) markupDeclarationOpenState() {
@@ -1649,7 +1619,8 @@ func (z *Tokenizer) markupDeclarationOpenState() {
 			z.state = stateCDATASection
 		} else {
 			z.parseError(ErrCDATAInHTMLContent, "")
-			z.cur = Token{Type: CommentToken, Data: "[CDATA[", Pos: z.position()}
+			z.cur = Token{Type: CommentToken, Pos: z.position()}
+			z.data.add(z.input, z.pos-len("[CDATA["), z.pos)
 			z.state = stateBogusComment
 		}
 	default:
@@ -1666,7 +1637,7 @@ func (z *Tokenizer) commentStartState() {
 	case '>':
 		z.parseError(ErrAbruptClosingOfEmptyComment, "")
 		z.state = stateData
-		z.emit(z.cur)
+		z.emitComment()
 	default:
 		z.back()
 		z.state = stateComment
@@ -1680,13 +1651,13 @@ func (z *Tokenizer) commentStartDashState() {
 	case '>':
 		z.parseError(ErrAbruptClosingOfEmptyComment, "")
 		z.state = stateData
-		z.emit(z.cur)
+		z.emitComment()
 	case eofRune:
 		z.parseError(ErrEOFInComment, "")
-		z.emit(z.cur)
+		z.emitComment()
 		z.emitEOF()
 	default:
-		z.cur.Data += "-"
+		z.data.add(z.input, z.prevPos-1, z.prevPos)
 		z.back()
 		z.state = stateComment
 	}
@@ -1694,12 +1665,12 @@ func (z *Tokenizer) commentStartDashState() {
 
 func (z *Tokenizer) commentState() {
 	for {
-		if chunk := z.scanUntil('<', '-'); chunk != nil {
-			z.appendComment(chunk)
-		}
+		off := z.pos
+		z.scanUntil('<', '-')
+		z.data.add(z.input, off, z.pos)
 		switch r := z.next(); r {
 		case '<':
-			z.cur.Data += "<"
+			z.addChar(&z.data)
 			z.state = stateCommentLessThan
 			return
 		case '-':
@@ -1707,14 +1678,14 @@ func (z *Tokenizer) commentState() {
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur.Data += "�"
+			z.data.addRune(z.input, '�')
 		case eofRune:
 			z.parseError(ErrEOFInComment, "")
-			z.emit(z.cur)
+			z.emitComment()
 			z.emitEOF()
 			return
 		default:
-			z.cur.Data += string(r)
+			z.addChar(&z.data)
 		}
 	}
 }
@@ -1722,10 +1693,10 @@ func (z *Tokenizer) commentState() {
 func (z *Tokenizer) commentLessThanState() {
 	switch r := z.next(); r {
 	case '!':
-		z.cur.Data += "!"
+		z.addChar(&z.data)
 		z.state = stateCommentLessThanBang
 	case '<':
-		z.cur.Data += "<"
+		z.addChar(&z.data)
 	default:
 		z.back()
 		z.state = stateComment
@@ -1765,10 +1736,10 @@ func (z *Tokenizer) commentEndDashState() {
 		z.state = stateCommentEnd
 	case eofRune:
 		z.parseError(ErrEOFInComment, "")
-		z.emit(z.cur)
+		z.emitComment()
 		z.emitEOF()
 	default:
-		z.cur.Data += "-"
+		z.data.add(z.input, z.prevPos-1, z.prevPos)
 		z.back()
 		z.state = stateComment
 	}
@@ -1778,17 +1749,18 @@ func (z *Tokenizer) commentEndState() {
 	switch r := z.next(); r {
 	case '>':
 		z.state = stateData
-		z.emit(z.cur)
+		z.emitComment()
 	case '!':
 		z.state = stateCommentEndBang
 	case '-':
-		z.cur.Data += "-"
+		// "---": the first dash of the pending pair is data.
+		z.data.add(z.input, z.prevPos-2, z.prevPos-1)
 	case eofRune:
 		z.parseError(ErrEOFInComment, "")
-		z.emit(z.cur)
+		z.emitComment()
 		z.emitEOF()
 	default:
-		z.cur.Data += "--"
+		z.data.add(z.input, z.prevPos-2, z.prevPos)
 		z.back()
 		z.state = stateComment
 	}
@@ -1797,18 +1769,18 @@ func (z *Tokenizer) commentEndState() {
 func (z *Tokenizer) commentEndBangState() {
 	switch r := z.next(); r {
 	case '-':
-		z.cur.Data += "--!"
+		z.data.add(z.input, z.prevPos-3, z.prevPos)
 		z.state = stateCommentEndDash
 	case '>':
 		z.parseError(ErrIncorrectlyClosedComment, "")
 		z.state = stateData
-		z.emit(z.cur)
+		z.emitComment()
 	case eofRune:
 		z.parseError(ErrEOFInComment, "")
-		z.emit(z.cur)
+		z.emitComment()
 		z.emitEOF()
 	default:
-		z.cur.Data += "--!"
+		z.data.add(z.input, z.prevPos-3, z.prevPos)
 		z.back()
 		z.state = stateComment
 	}
@@ -1851,11 +1823,13 @@ func (z *Tokenizer) beforeDoctypeNameState() {
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur = Token{Type: DoctypeToken, Data: "�", Pos: z.position()}
+			z.cur = Token{Type: DoctypeToken, Pos: z.position()}
+			z.data.addRune(z.input, '�')
 			z.state = stateDoctypeName
 			return
 		default:
-			z.cur = Token{Type: DoctypeToken, Data: string(toLowerRune(r)), Pos: z.position()}
+			z.cur = Token{Type: DoctypeToken, Pos: z.position()}
+			z.addLower(&z.data, r)
 			z.state = stateDoctypeName
 			return
 		}
@@ -1867,23 +1841,26 @@ func (z *Tokenizer) doctypeNameState() {
 		r := z.next()
 		switch {
 		case isWhitespace(r):
+			z.cur.Data = z.data.take(z.input)
 			z.state = stateAfterDoctypeName
 			return
 		case r == '>':
+			z.cur.Data = z.data.take(z.input)
 			z.state = stateData
 			z.emit(z.cur)
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur.Data += "�"
+			z.data.addRune(z.input, '�')
 		case r == eofRune:
+			z.cur.Data = z.data.take(z.input)
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
 			z.emit(z.cur)
 			z.emitEOF()
 			return
 		default:
-			z.cur.Data += string(toLowerRune(r))
+			z.addLower(&z.data, r)
 		}
 	}
 }
@@ -1992,25 +1969,28 @@ func (z *Tokenizer) doctypePublicIdentifierState(quote rune) {
 		r := z.next()
 		switch {
 		case r == quote:
+			z.cur.PublicID = z.data.take(z.input)
 			z.state = stateAfterDoctypePublicIdentifier
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur.PublicID += "�"
+			z.data.addRune(z.input, '�')
 		case r == '>':
+			z.cur.PublicID = z.data.take(z.input)
 			z.parseError(ErrAbruptDoctypePublicIdentifier, "")
 			z.cur.ForceQuirks = true
 			z.state = stateData
 			z.emit(z.cur)
 			return
 		case r == eofRune:
+			z.cur.PublicID = z.data.take(z.input)
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
 			z.emit(z.cur)
 			z.emitEOF()
 			return
 		default:
-			z.cur.PublicID += string(r)
+			z.addChar(&z.data)
 		}
 	}
 }
@@ -2140,25 +2120,28 @@ func (z *Tokenizer) doctypeSystemIdentifierState(quote rune) {
 		r := z.next()
 		switch {
 		case r == quote:
+			z.cur.SystemID = z.data.take(z.input)
 			z.state = stateAfterDoctypeSystemIdentifier
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur.SystemID += "�"
+			z.data.addRune(z.input, '�')
 		case r == '>':
+			z.cur.SystemID = z.data.take(z.input)
 			z.parseError(ErrAbruptDoctypeSystemIdentifier, "")
 			z.cur.ForceQuirks = true
 			z.state = stateData
 			z.emit(z.cur)
 			return
 		case r == eofRune:
+			z.cur.SystemID = z.data.take(z.input)
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
 			z.emit(z.cur)
 			z.emitEOF()
 			return
 		default:
-			z.cur.SystemID += string(r)
+			z.addChar(&z.data)
 		}
 	}
 }
@@ -2207,10 +2190,7 @@ func (z *Tokenizer) bogusDoctypeState() {
 
 func (z *Tokenizer) cdataSectionState() {
 	for {
-		off, line, col := z.pos, z.line, z.col
-		if chunk := z.scanUntil(']', ']'); chunk != nil {
-			z.appendTextChunk(off, len(chunk), line, col)
-		}
+		z.scanText(']', ']')
 		switch r := z.next(); r {
 		case ']':
 			z.state = stateCDATASectionBracket
@@ -2223,7 +2203,7 @@ func (z *Tokenizer) cdataSectionState() {
 			// NUL reaches here (scanUntil always stops on it); CDATA carries
 			// it through verbatim, matching the spec's lack of a tokenizer
 			// error in this state.
-			z.appendText(r)
+			z.addTextChar()
 		}
 	}
 }
@@ -2233,7 +2213,7 @@ func (z *Tokenizer) cdataSectionBracketState() {
 		z.state = stateCDATASectionEnd
 		return
 	}
-	z.appendText(']')
+	z.addText(z.prevPos-1, z.prevPos)
 	z.back()
 	z.state = stateCDATASection
 }
@@ -2241,11 +2221,12 @@ func (z *Tokenizer) cdataSectionBracketState() {
 func (z *Tokenizer) cdataSectionEndState() {
 	switch r := z.next(); r {
 	case ']':
-		z.appendText(']')
+		// "]]]": the first bracket of the pending pair is text.
+		z.addText(z.prevPos-2, z.prevPos-1)
 	case '>':
 		z.state = stateData
 	default:
-		z.appendTextString("]]")
+		z.addText(z.prevPos-2, z.prevPos)
 		z.back()
 		z.state = stateCDATASection
 	}

@@ -97,6 +97,22 @@ func TestTokenizeAttributeDetails(t *testing.T) {
 	}
 }
 
+// The missing-attribute-value detail names the attribute with no value.
+func TestTokenizeMissingAttributeValueDetail(t *testing.T) {
+	for in, want := range map[string]string{`<div a=>`: "a", `<div a b=>`: "b"} {
+		_, errs := tokenize(t, in)
+		var got []string
+		for _, e := range errs {
+			if e.Code == ErrMissingAttributeValue {
+				got = append(got, e.Detail)
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("%s: missing-attribute-value details %q, want [%q]", in, got, want)
+		}
+	}
+}
+
 func TestTokenizeAttributeCaseAndDuplicates(t *testing.T) {
 	tokens, errs := tokenize(t, `<div ID=a id=b Class=c>`)
 	a := tokens[0].Attr

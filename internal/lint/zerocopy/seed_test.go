@@ -28,16 +28,16 @@ func TestSeededRetentionBug(t *testing.T) {
 	copyGoPackage(t, filepath.Join(root, "internal", "obs"), filepath.Join(tmp, "internal", "obs"))
 
 	// Seed the bug. The anchor is the zero-copy fast path of
-	// commitTagName; replacing it with a store through a local keeps
-	// the view taint live (reading a string field back off the token
-	// would not, by the view contract).
+	// strAcc.take, which hands out every token string; a store through
+	// the local keeps the view taint live (reading a string field back
+	// off the token would not, by the view contract).
 	tok := filepath.Join(tmp, "internal", "htmlparse", "tokenizer.go")
 	src, err := os.ReadFile(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const anchor = "z.cur.Data = zcString(z.input[start:end])"
-	const seeded = "name := zcString(z.input[start:end])\n\t\tlastSeenTagName = name\n\t\tz.cur.Data = name"
+	const anchor = "s := zcString(in[a.start:a.end])"
+	const seeded = "s := zcString(in[a.start:a.end])\n\tlastSeenTagName = s"
 	if !strings.Contains(string(src), anchor) {
 		t.Fatalf("injection anchor %q not found in tokenizer.go; update the seed test to match the parser", anchor)
 	}

@@ -223,6 +223,28 @@ func TestServeChaosDeadlineBoundsHostileWork(t *testing.T) {
 	}
 }
 
+func TestServeChaosOneTokenBodyAnswersPromptly(t *testing.T) {
+	// The deadline is polled between tokens, so a body that is one
+	// long token is bounded by the tokenizer's own cost alone: a
+	// 256 KiB comment must be answered (checked or shed) within a
+	// second, not long after its 100 ms deadline.
+	base, _, _ := startChaos(t, Config{
+		TenantRate:     -1,
+		RequestTimeout: 100 * time.Millisecond,
+	})
+	body := "<!--" + strings.Repeat("a-", 128<<10) + "-->"
+	start := time.Now()
+	resp, err := http.Post(base+"/v1/check", "text/html", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("256 KiB comment answered %d after %v, want within 1s", resp.StatusCode, d)
+	}
+}
+
 func TestServeChaosAdversarialNestingConcurrent(t *testing.T) {
 	// The invariant under test is the depth cap, not shedding: give the
 	// pool enough slots and deadline headroom that none of the 16
