@@ -39,87 +39,125 @@ func Repair(input []byte) (*Result, error) {
 // an empty Applied list, and the Unfixable reasons — unverified output is
 // never emitted. The error return is operational only (invalid encoding,
 // depth cap on the input, context cancellation), never a failed repair.
+//
+// Each round is one core.Checker.CheckTree callback over the round's
+// input: the input, then each candidate. Inside it the parse is verified
+// against the previous round's report, the strategies edit its tree and
+// the tree is serialized, so no tree outlives its round and every
+// round's node slabs go back to the pooled parser.
 func RepairContext(ctx context.Context, input []byte, opts Options) (*Result, error) {
 	checker := core.NewChecker()
-	check := func(b []byte) (*htmlparse.Result, *core.Report, error) {
-		return checker.CheckTree(ctx, b, opts.MaxTreeDepth)
-	}
-	res, rep, err := check(input)
-	if err != nil {
-		return nil, err
-	}
-	origHits := rep.RuleHits
-
-	r := &Result{Output: input, RemainingHits: origHits}
-	if !anyTargeted(rep) {
-		// Nothing the registry covers: the no-op result is the input
-		// itself, byte for byte (this is what makes a verified repair
-		// idempotent — the second pass changes nothing).
-		observeRepair(r, nil)
-		return r, nil
-	}
-
-	cur := input
-	var applied []Fix
-	fail := func(uf ...Unfixable) *Result {
-		r.Output = input
-		r.Applied = nil
-		r.RemainingHits = origHits
-		r.Unfixable = uf
-		observeRepair(r, applied)
-		return r
-	}
-	for round := 1; ; round++ {
-		r.Rounds = round
-		fixes := applyStrategies(res, rep)
-		applied = append(applied, fixes...)
-		out := []byte(htmlparse.RenderString(res.Doc))
-
-		outRes, outRep, err := check(out)
-		if err != nil {
-			if ctx.Err() != nil {
+	rs := &rounds{input: input, cur: input, r: &Result{Output: input}}
+	for {
+		rs.next = nil
+		if err := checker.CheckTree(ctx, rs.cur, opts.MaxTreeDepth, rs.round); err != nil {
+			if rs.prev == nil || ctx.Err() != nil {
 				return nil, err
 			}
 			// The rendered candidate no longer parses under the
 			// configured limits (e.g. reparenting pushed it past the
 			// depth cap). That is a verification failure of the
 			// candidate, not an operational error of the call.
-			return fail(Unfixable{RuleID: targetedIDs(rep)[0],
-				Reason: "repaired candidate failed to re-parse: " + err.Error()}), nil
+			rs.fail(Unfixable{RuleID: targetedIDs(rs.prev)[0],
+				Reason: "repaired candidate failed to re-parse: " + err.Error()})
 		}
-
-		// No rule outside the registry may get worse than this round's
-		// input: those we could not fix next round anyway, so fail fast.
-		for _, id := range core.RuleIDs() {
-			if strategyFor(id) != nil {
-				continue
-			}
-			if outRep.RuleHits[id] > rep.RuleHits[id] {
-				return fail(Unfixable{RuleID: id, Reason: fmt.Sprintf(
-					"repair would introduce %d new finding(s)",
-					outRep.RuleHits[id]-rep.RuleHits[id])}), nil
-			}
+		if rs.next == nil {
+			observeRepair(rs.r, rs.applied)
+			return rs.r, nil
 		}
-		if !anyTargeted(outRep) {
-			// Converged: every strategy-covered rule is at zero, and by
-			// the per-round check above no other rule ever increased, so
-			// the output's hits are bounded by the input's rule for rule.
-			r.Output = out
-			r.Applied = applied
-			r.RemainingHits = outRep.RuleHits
-			r.Unfixable = nil
-			observeRepair(r, applied)
-			return r, nil
-		}
-		if len(fixes) == 0 || bytes.Equal(out, cur) {
-			return fail(remainingUnfixable(outRep, "no strategy can make further progress")...), nil
-		}
-		if round == maxRounds {
-			return fail(remainingUnfixable(outRep, fmt.Sprintf(
-				"still violated after %d fix→recheck rounds", maxRounds))...), nil
-		}
-		cur, res, rep = out, outRes, outRep
+		rs.prevIn, rs.cur = rs.cur, rs.next
 	}
+}
+
+// rounds is one document's fix→recheck loop: the round's input and the
+// previous round's, what the strategies have recorded so far, and the
+// Result the rounds settle.
+type rounds struct {
+	input    []byte
+	r        *Result
+	origHits map[string]int
+	// cur is this round's input; prevIn and prev are the previous
+	// round's input and its report (nil before the first candidate).
+	cur, prevIn []byte
+	prev        *core.Report
+	// fixes are the previous round's, applied every round's.
+	fixes, applied []Fix
+	// next is the candidate this round rendered, nil once the repair
+	// has settled.
+	next []byte
+}
+
+// round is the CheckTree callback of one round: res and rep are the parse
+// and report of cur, valid only for the call. It verifies a candidate,
+// then, unless the repair has settled, applies the strategies to res and
+// renders the next candidate.
+func (rs *rounds) round(res *htmlparse.Result, rep *core.Report) {
+	if rs.prev == nil {
+		rs.origHits = rep.RuleHits
+		rs.r.RemainingHits = rep.RuleHits
+		if !anyTargeted(rep) {
+			// Nothing the registry covers: the no-op result is the input
+			// itself, byte for byte (this is what makes a verified repair
+			// idempotent — the second pass changes nothing).
+			return
+		}
+	} else if rs.settle(rep) {
+		return
+	}
+	rs.r.Rounds++
+	rs.fixes = applyStrategies(res, rep)
+	rs.applied = append(rs.applied, rs.fixes...)
+	// A candidate's length is close to its input's (within 1.3% on the
+	// repair benchmark's documents); the headroom covers that and the
+	// implied tags a short page gains, and saves regrowing the buffer.
+	rs.next = htmlparse.AppendRender(make([]byte, 0, len(rs.cur)+len(rs.cur)/16+64), res.Doc)
+	rs.prev = rep
+}
+
+// settle verifies the candidate cur, whose report is rep, against the
+// report of the round input it was rendered from. It settles the Result
+// and reports true when the repair has converged or failed.
+func (rs *rounds) settle(rep *core.Report) bool {
+	// No rule outside the registry may get worse than this round's
+	// input: those we could not fix next round anyway, so fail fast.
+	for _, id := range core.RuleIDs() {
+		if strategyFor(id) != nil {
+			continue
+		}
+		if rep.RuleHits[id] > rs.prev.RuleHits[id] {
+			rs.fail(Unfixable{RuleID: id, Reason: fmt.Sprintf(
+				"repair would introduce %d new finding(s)",
+				rep.RuleHits[id]-rs.prev.RuleHits[id])})
+			return true
+		}
+	}
+	switch {
+	case !anyTargeted(rep):
+		// Converged: every strategy-covered rule is at zero, and by
+		// the per-round check above no other rule ever increased, so
+		// the output's hits are bounded by the input's rule for rule.
+		rs.r.Output = rs.cur
+		rs.r.Applied = rs.applied
+		rs.r.RemainingHits = rep.RuleHits
+		rs.r.Unfixable = nil
+	case len(rs.fixes) == 0 || bytes.Equal(rs.cur, rs.prevIn):
+		rs.fail(remainingUnfixable(rep, "no strategy can make further progress")...)
+	case rs.r.Rounds == maxRounds:
+		rs.fail(remainingUnfixable(rep, fmt.Sprintf(
+			"still violated after %d fix→recheck rounds", maxRounds))...)
+	default:
+		return false
+	}
+	return true
+}
+
+// fail settles the Result as unfixable: the original input, no applied
+// fixes and the input's hits.
+func (rs *rounds) fail(uf ...Unfixable) {
+	rs.r.Output = rs.input
+	rs.r.Applied = nil
+	rs.r.RemainingHits = rs.origHits
+	rs.r.Unfixable = uf
 }
 
 // applyStrategies runs every registered strategy whose rule has findings

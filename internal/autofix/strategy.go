@@ -25,7 +25,8 @@ type Strategy interface {
 // parse, the findings for the strategy's rule, and the fix recorder.
 type Tx struct {
 	// Res is the instrumented parse of the current round's input. Apply
-	// mutates Res.Doc; the engine serializes it afterwards.
+	// mutates Res.Doc; the engine serializes it afterwards. The tree is
+	// valid only during the round: Apply must not retain Doc or a Node.
 	Res *htmlparse.Result
 	// Findings are this round's findings for the strategy's rule.
 	Findings []core.Finding

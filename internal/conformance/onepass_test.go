@@ -78,8 +78,8 @@ func onePassAgreement(input []byte) error {
 	if d := diffReports(oneRep, full.CheckParsed(&core.Page{Result: res})); d != "" {
 		return fmt.Errorf("Check vs CheckParsed(ParseReuse) for %q: %s", input, d)
 	}
-	_, treeRep, err := full.CheckTree(context.Background(), input, 0)
-	if err != nil {
+	var treeRep *core.Report
+	if err := full.CheckTree(context.Background(), input, 0, func(_ *htmlparse.Result, r *core.Report) { treeRep = r }); err != nil {
 		return err
 	}
 	if d := diffReports(oneRep, treeRep); d != "" {
@@ -98,7 +98,8 @@ func scopedAgreement(a, b []byte) error {
 	docs := [][]byte{a, b, a}
 	want := make([]*core.Report, len(docs))
 	for i, d := range docs {
-		_, rep, err := full.CheckTree(context.Background(), d, 0)
+		var rep *core.Report
+		err := full.CheckTree(context.Background(), d, 0, func(_ *htmlparse.Result, r *core.Report) { rep = r })
 		if err == htmlparse.ErrNotUTF8 {
 			return nil
 		}

@@ -1,7 +1,10 @@
 package conformance
 
 import (
+	"bytes"
+	"maps"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/hvscan/hvscan/internal/autofix"
@@ -207,4 +210,42 @@ func TestRepairInvariantsOnSnapshot(t *testing.T) {
 		t.Fatalf("%d of %d checks skipped", skips, 4*len(pages))
 	}
 	t.Logf("%d pages, %d skipped checks", len(pages), skips)
+}
+
+// TestRepairABAOnSnapshot repairs each pair of consecutive pages of the
+// snapshot as A, then B, then A again on one goroutine, so B's rounds
+// build their trees in the node slabs A's rounds gave back to the pooled
+// parser and the second A's in B's. The second repair of A must equal the
+// first in everything a caller sees.
+func TestRepairABAOnSnapshot(t *testing.T) {
+	pages := snapshotPages()
+	for i := 1; i < len(pages); i++ {
+		a, b := pages[i-1], pages[i]
+		first, err := autofix.Repair(a.body)
+		if err != nil {
+			t.Fatalf("%s: %v", a.id, err)
+		}
+		if _, err := autofix.Repair(b.body); err != nil {
+			t.Fatalf("%s: %v", b.id, err)
+		}
+		again, err := autofix.Repair(a.body)
+		if err != nil {
+			t.Fatalf("%s: %v", a.id, err)
+		}
+		switch {
+		case !bytes.Equal(first.Output, again.Output):
+			t.Fatalf("%s after %s: Output differs:\n %q\n %q", a.id, b.id, first.Output, again.Output)
+		case first.Outcome() != again.Outcome():
+			t.Fatalf("%s after %s: Outcome %s, then %s", a.id, b.id, first.Outcome(), again.Outcome())
+		case !slices.Equal(first.Applied, again.Applied):
+			t.Fatalf("%s after %s: Applied differs:\n %v\n %v", a.id, b.id, first.Applied, again.Applied)
+		case !slices.Equal(first.Unfixable, again.Unfixable):
+			t.Fatalf("%s after %s: Unfixable differs:\n %v\n %v", a.id, b.id, first.Unfixable, again.Unfixable)
+		case !maps.Equal(first.RemainingHits, again.RemainingHits):
+			t.Fatalf("%s after %s: RemainingHits differ:\n %v\n %v", a.id, b.id, first.RemainingHits, again.RemainingHits)
+		}
+	}
+	if len(pages) < 200 {
+		t.Fatalf("repaired only %d pages", len(pages))
+	}
 }

@@ -157,13 +157,16 @@ func (c *Checker) countHits(rep *Report) {
 // signals. A pass is fed each start and end tag in document order, then
 // the parse errors, the tree events and the finished tree's elements, and
 // rules and signals are computed by the same code whether the tags arrive
-// live from the tree builder's OnTag hook (CheckContext, CheckTree) or are
-// replayed from a recorded trace (CheckParsed).
+// live from the tree builder's OnTag hook (CheckTree, and so Check and
+// CheckContext) or are replayed from a recorded trace (CheckParsed).
 type pass struct {
 	c     *Checker
 	rules []ruleRun // parallel to c.rules
-	sig   Signals
-	walk  bool // some rule has an Element hook
+	// tokens, errors, events and elements list the runs that have each
+	// hook, in catalogue order, so a tag, error, event or element visits
+	// only the rules that take it.
+	tokens, errors, events, elements []*ruleRun
+	sig                              Signals
 }
 
 // ruleRun is one rule's share of a pass: its hooks, what they emitted,
@@ -183,8 +186,23 @@ func (c *Checker) newPass() *pass {
 		rr := &ps.rules[i]
 		rr.RuleStream = r.Stream()
 		rr.emit = func(f Finding) { rr.found = append(rr.found, f) }
-		ps.walk = ps.walk || rr.Element != nil
 	}
+	// The four lists share one array, sized for one hook per rule as in
+	// the catalogue.
+	hooks := make([]*ruleRun, 0, len(c.rules))
+	list := func(has func(*ruleRun) bool) []*ruleRun {
+		start := len(hooks)
+		for i := range ps.rules {
+			if rr := &ps.rules[i]; has(rr) {
+				hooks = append(hooks, rr)
+			}
+		}
+		return hooks[start:]
+	}
+	ps.tokens = list(func(rr *ruleRun) bool { return rr.Token != nil })
+	ps.errors = list(func(rr *ruleRun) bool { return rr.Error != nil })
+	ps.events = list(func(rr *ruleRun) bool { return rr.Event != nil })
+	ps.elements = list(func(rr *ruleRun) bool { return rr.Element != nil })
 	return ps
 }
 
@@ -193,41 +211,34 @@ func (ps *pass) tag(t *htmlparse.Token) {
 	if t.Type == htmlparse.StartTagToken {
 		ps.sig.observe(t)
 	}
-	for i := range ps.rules {
-		if rr := &ps.rules[i]; rr.Token != nil {
-			rr.Token(t, rr.emit)
-		}
+	for _, rr := range ps.tokens {
+		rr.Token(t, rr.emit)
 	}
 }
 
 // parsed feeds what the finished parse holds beyond its tags: the parse
 // errors to every error hook, then the tree events to every event hook,
 // both in recorded order, then each element of one pre-order walk of the
-// tree to every element hook.
+// tree to every element hook. The walk is skipped when no rule has an
+// element hook.
 func (ps *pass) parsed(res *htmlparse.Result) {
 	for _, e := range res.Errors {
-		for i := range ps.rules {
-			if rr := &ps.rules[i]; rr.Error != nil {
-				rr.Error(e, rr.emit)
-			}
+		for _, rr := range ps.errors {
+			rr.Error(e, rr.emit)
 		}
 	}
 	for j := range res.Events {
-		for i := range ps.rules {
-			if rr := &ps.rules[i]; rr.Event != nil {
-				rr.Event(&res.Events[j], rr.emit)
-			}
+		for _, rr := range ps.events {
+			rr.Event(&res.Events[j], rr.emit)
 		}
 	}
-	if !ps.walk {
+	if len(ps.elements) == 0 {
 		return
 	}
 	res.Doc.Walk(func(n *htmlparse.Node) bool {
 		if n.Type == htmlparse.ElementNode {
-			for i := range ps.rules {
-				if rr := &ps.rules[i]; rr.Element != nil {
-					rr.Element(n, rr.emit)
-				}
+			for _, rr := range ps.elements {
+				rr.Element(n, rr.emit)
 			}
 		}
 		return true
@@ -253,45 +264,34 @@ func (ps *pass) report(url string) *Report {
 }
 
 // Check is CheckContext with no deadline and no depth cap.
-func (c *Checker) Check(html []byte) (*Report, error) { return c.check(nil, html, 0) }
+func (c *Checker) Check(html []byte) (*Report, error) { return c.CheckContext(nil, html, 0) }
 
-// CheckContext checks the document in one parse and keeps only the
-// report. The check runs as in CheckTree inside htmlparse.ParseScoped, so
-// the tree's node slabs go back to the pooled parser once the report is
-// built. ctx bounds the check and a positive maxTreeDepth caps the
-// open-element stack; on either abort the error is returned and there is
-// no report. It returns htmlparse.ErrNotUTF8 for documents the pipeline
-// must filter (paper §4.1).
+// CheckContext is CheckTree for a caller that keeps only the report. It
+// returns htmlparse.ErrNotUTF8 for documents the pipeline must filter
+// (paper §4.1), and on an abort the error and no report.
 func (c *Checker) CheckContext(ctx context.Context, html []byte, maxTreeDepth int) (*Report, error) {
-	return c.check(ctx, html, maxTreeDepth)
-}
-
-// check is CheckContext with ctx nil for the uncancellable path.
-func (c *Checker) check(ctx context.Context, html []byte, maxTreeDepth int) (*Report, error) {
-	ps := c.newPass()
 	var rep *Report
-	err := htmlparse.ParseScoped(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}, func(res *htmlparse.Result) {
-		rep = ps.finish(res)
-	})
+	err := c.CheckTree(ctx, html, maxTreeDepth, func(_ *htmlparse.Result, r *Report) { rep = r })
 	return rep, err
 }
 
-// CheckTree parses html once and checks it during that parse. The
-// parser's OnTag hook drives the token hooks and the signals tag by tag,
-// so no token trace is recorded or replayed; the parse errors, tree
-// events and elements of the finished Result then go through the other
-// hooks, and the Result is returned with the report (the repair engine
-// edits its tree). ctx bounds the parse and a positive maxTreeDepth caps the
-// open-element stack, as in htmlparse.ParseReuseContext; on either abort
-// the error is returned and there is no Result or report. A caller that
-// does not keep the Result uses CheckContext.
-func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int) (*htmlparse.Result, *Report, error) {
+// CheckTree parses html once, checks it during that parse and calls f
+// with the Result and its report. The parser's OnTag hook drives the
+// token hooks and the signals tag by tag, so no token trace is recorded
+// or replayed; the parse errors, tree events and elements of the
+// finished Result then go through the other hooks. The parse runs in
+// htmlparse.ParseScoped: the Result is valid only inside f, and when f
+// returns the tree's node slabs go back to the pooled parser, so f must
+// not retain Doc or any Node (the repair engine edits and serializes the
+// tree inside f). The report is the caller's to keep. ctx bounds the
+// parse and a positive maxTreeDepth caps the open-element stack; on
+// either abort f is not called and the error is returned. A nil ctx is
+// never canceled and caps no depth.
+func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int, f func(*htmlparse.Result, *Report)) error {
 	ps := c.newPass()
-	res, err := htmlparse.ParseReuseContext(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, ps.finish(res), nil
+	return htmlparse.ParseScoped(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}, func(res *htmlparse.Result) {
+		f(res, ps.finish(res))
+	})
 }
 
 // finish completes a pass whose tags the parse already fed live and

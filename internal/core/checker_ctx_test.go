@@ -43,8 +43,8 @@ func TestCheckContextCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("check after an aborted check: %v", err)
 		}
-		_, want, err := NewChecker().CheckTree(context.Background(), []byte(doc), 0)
-		if err != nil {
+		var want *Report
+		if err := NewChecker().CheckTree(context.Background(), []byte(doc), 0, func(_ *htmlparse.Result, r *Report) { want = r }); err != nil {
 			t.Fatal(err)
 		}
 		if g, w := fmtFindings(got.Findings), fmtFindings(want.Findings); g != w || got.Signals != want.Signals {

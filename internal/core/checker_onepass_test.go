@@ -48,3 +48,49 @@ func TestOnePassMatchesReplayOnSnapshot(t *testing.T) {
 		t.Fatalf("compared only %d pages (%d findings)", pages, findings)
 	}
 }
+
+// TestRuleWithEveryHook: a rule may set all four hooks, and each is fed
+// exactly what a one-hook rule of its kind is fed, while the catalogue
+// rules around it report as they do alone: the checker's per-kind hook
+// lists hold more hooks than there are rules.
+func TestRuleWithEveryHook(t *testing.T) {
+	const doc = `<!DOCTYPE html><div a=1 a=2><base href=/x><p>x</div><base href=/y>`
+	var tags, errs, events, elems int
+	all := Rule{ID: "ALL", Stream: func() RuleStream {
+		return RuleStream{
+			Token:   func(*htmlparse.Token, func(Finding)) { tags++ },
+			Error:   func(htmlparse.ParseError, func(Finding)) { errs++ },
+			Event:   func(*htmlparse.TreeEvent, func(Finding)) { events++ },
+			Element: func(n *htmlparse.Node, emit func(Finding)) { elems++ },
+		}
+	}}
+	got, err := NewCheckerWith(append([]Rule{all}, Rules()...)...).Check([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewChecker().Check([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Findings, want.Findings) || !reflect.DeepEqual(got.RuleHits, want.RuleHits) {
+		t.Errorf("catalogue findings beside a four-hook rule:\n got  %v\n want %v", got.Findings, want.Findings)
+	}
+	res, err := htmlparse.Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantElems := 0
+	res.Doc.Walk(func(n *htmlparse.Node) bool {
+		if n.Type == htmlparse.ElementNode {
+			wantElems++
+		}
+		return true
+	})
+	if tags != len(res.Tokens) || errs != len(res.Errors) || events != len(res.Events) || elems != wantElems {
+		t.Errorf("hooks saw %d tags, %d errors, %d events, %d elements; the parse has %d, %d, %d, %d",
+			tags, errs, events, elems, len(res.Tokens), len(res.Errors), len(res.Events), wantElems)
+	}
+	if len(res.Errors) == 0 || len(res.Events) == 0 {
+		t.Fatal("the document provokes no errors or events")
+	}
+}

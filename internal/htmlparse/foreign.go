@@ -61,7 +61,7 @@ func (tb *treeBuilder) foreignIM(t *Token) bool {
 		}
 		return true
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -98,7 +98,7 @@ func (tb *treeBuilder) foreignIM(t *Token) bool {
 		if ns == NamespaceMathML {
 			adjustAttrNames(t, mathMLAttrName)
 		}
-		tb.insertElement(*t, ns)
+		tb.insertElement(t, ns)
 		if t.SelfClosing {
 			tb.pop()
 			tb.ackSelfClosing()

@@ -6,11 +6,13 @@ import (
 	"time"
 )
 
-// hostileShape is an input that is one token however long it grows: a
-// prefix, a unit repeated to the wanted size, and a suffix. Each makes
-// the tokenizer build one string or scan one run for its whole length,
-// where a builder that copies per append, or a scan that rereads the
-// rest of the input per chunk, turns quadratic.
+// hostileShape is an input that builds one string however long it
+// grows: a prefix, a unit repeated to the wanted size, and a suffix. Most
+// make the tokenizer build one token or scan one run for its whole
+// length; the ignored end tags split one text node's content into as
+// many tokens, which the tree builder merges. A builder that copies per
+// append, or a scan that rereads the rest of the input per chunk, turns
+// quadratic.
 type hostileShape struct {
 	name, prefix, unit, suffix string
 }
@@ -23,6 +25,7 @@ var hostileShapes = []hostileShape{
 	{"attribute of references", `<a href="`, "&amp;", `">`},
 	{"text of references", "", "&amp;", ""},
 	{"plain comment", "<!--", "a", "-->"},
+	{"text between ignored end tags", "", "a</x>", ""},
 }
 
 // input returns the shape with its unit repeated to about size bytes.

@@ -28,16 +28,15 @@ func (tb *treeBuilder) run() {
 			tb.abort = ErrTreeDepthExceeded
 			return
 		}
-		t := tb.z.Next()
+		// t is the tokenizer's queue slot, valid until the next call;
+		// the handlers edit it in place when they reprocess a token.
+		t := tb.z.nextToken()
 		if t.Type == StartTagToken || t.Type == EndTagToken {
 			if tb.recordTokens {
-				tb.tokens = append(tb.tokens, t)
+				tb.tokens = append(tb.tokens, *t)
 			}
 			if tb.onTag != nil {
-				// The hook gets the builder's own copy: passing &t would
-				// move t to the heap on every iteration.
-				tb.hookTok = t
-				tb.onTag(&tb.hookTok)
+				tb.onTag(t)
 			}
 		}
 		if tb.skipLeadingNewline {
@@ -50,10 +49,11 @@ func (tb *treeBuilder) run() {
 			}
 		}
 		if t.Type == StartTagToken && t.SelfClosing {
+			name := t.Data // the tag as written; a handler may retag t
 			tb.selfClosingAcked = false
 			tb.process(t)
 			if !tb.selfClosingAcked {
-				tb.parseError(ErrNonVoidElementWithTrailingSolidus, t.Data, t.Pos)
+				tb.parseError(ErrNonVoidElementWithTrailingSolidus, name, t.Pos)
 			}
 		} else {
 			tb.process(t)
@@ -64,12 +64,12 @@ func (tb *treeBuilder) run() {
 	}
 }
 
-func (tb *treeBuilder) process(t Token) {
+func (tb *treeBuilder) process(t *Token) {
 	for consumed := false; !consumed; {
-		if tb.useForeignRules(&t) {
-			consumed = tb.foreignIM(&t)
+		if tb.useForeignRules(t) {
+			consumed = tb.foreignIM(t)
 		} else {
-			consumed = tb.handle(tb.mode, &t)
+			consumed = tb.handle(tb.mode, t)
 		}
 	}
 }
@@ -181,7 +181,7 @@ func (tb *treeBuilder) initialIM(t *Token) bool {
 		}
 		t.Data = rest
 	case CommentToken:
-		tb.insertComment(*t, tb.doc)
+		tb.insertComment(t, tb.doc)
 		return true
 	case DoctypeToken:
 		n := tb.newNode()
@@ -208,7 +208,7 @@ func (tb *treeBuilder) beforeHTMLIM(t *Token) bool {
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
 		return true
 	case CommentToken:
-		tb.insertComment(*t, tb.doc)
+		tb.insertComment(t, tb.doc)
 		return true
 	case CharacterToken:
 		_, rest := splitLeadingWhitespace(t.Data)
@@ -218,7 +218,7 @@ func (tb *treeBuilder) beforeHTMLIM(t *Token) bool {
 		t.Data = rest
 	case StartTagToken:
 		if t.Data == "html" {
-			n := tb.createElement(*t, NamespaceHTML)
+			n := tb.createElement(t, NamespaceHTML)
 			tb.doc.AppendChild(n)
 			tb.push(n)
 			tb.mode = modeBeforeHead
@@ -251,7 +251,7 @@ func (tb *treeBuilder) beforeHeadIM(t *Token) bool {
 		}
 		t.Data = rest
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -261,7 +261,7 @@ func (tb *treeBuilder) beforeHeadIM(t *Token) bool {
 		case "html":
 			return tb.inBodyIM(t)
 		case "head":
-			tb.head = tb.insertElement(*t, NamespaceHTML)
+			tb.head = tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInHead
 			return true
 		}
@@ -295,7 +295,7 @@ func (tb *treeBuilder) inHeadIM(t *Token) bool {
 		}
 		t.Data = rest
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -305,31 +305,31 @@ func (tb *treeBuilder) inHeadIM(t *Token) bool {
 		case "html":
 			return tb.inBodyIM(t)
 		case "base", "basefont", "bgsound", "link", "meta":
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.pop()
 			tb.ackSelfClosing()
 			return true
 		case "title":
-			tb.parseGenericRawText(*t)
+			tb.parseGenericRawText(t)
 			return true
 		case "noscript":
 			if !tb.scriptingEnabled {
-				tb.insertElement(*t, NamespaceHTML)
+				tb.insertElement(t, NamespaceHTML)
 				return true
 			}
-			tb.parseGenericRawText(*t)
+			tb.parseGenericRawText(t)
 			return true
 		case "noframes", "style":
-			tb.parseGenericRawText(*t)
+			tb.parseGenericRawText(t)
 			return true
 		case "script":
-			tb.parseGenericRawText(*t)
+			tb.parseGenericRawText(t)
 			return true
 		case "template":
 			// Template contents are parsed in place; the separate template
 			// insertion modes and content document are not modelled (a
 			// documented deviation — no violation rule depends on them).
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.pushAFEMarker()
 			tb.framesetOK = false
 			return true
@@ -380,7 +380,7 @@ func (tb *treeBuilder) inHeadIM(t *Token) bool {
 // parseGenericRawText implements the generic raw text / RCDATA parsing
 // algorithm: insert the element, switch the tokenizer content model, and
 // enter the text insertion mode.
-func (tb *treeBuilder) parseGenericRawText(t Token) {
+func (tb *treeBuilder) parseGenericRawText(t *Token) {
 	tb.insertElement(t, NamespaceHTML)
 	tb.z.StartRawText(t.Data)
 	tb.originalMode = tb.mode
@@ -404,7 +404,7 @@ func (tb *treeBuilder) afterHeadIM(t *Token) bool {
 		}
 		t.Data = rest
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -414,12 +414,12 @@ func (tb *treeBuilder) afterHeadIM(t *Token) bool {
 		case "html":
 			return tb.inBodyIM(t)
 		case "body":
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.framesetOK = false
 			tb.mode = modeInBody
 			return true
 		case "frameset":
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInFrameset
 			return true
 		case "base", "basefont", "bgsound", "link", "meta", "noframes",
@@ -475,7 +475,7 @@ func (tb *treeBuilder) inBodyIM(t *Token) bool {
 		}
 		return true
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -496,7 +496,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 	case "html":
 		tb.parseError(ErrUnexpectedStartTag, "html", t.Pos)
 		if len(tb.stack) > 0 {
-			tb.mergeAttrs(tb.stack[0], *t)
+			tb.mergeAttrs(tb.stack[0], t)
 		}
 		return true
 	case "base", "basefont", "bgsound", "link", "noframes", "script",
@@ -515,7 +515,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.parseError(ErrSecondBodyStartTag, "", t.Pos)
 		if len(tb.stack) > 1 && tb.stack[1].IsElement("body") {
 			tb.framesetOK = false
-			tb.mergeAttrs(tb.stack[1], *t)
+			tb.mergeAttrs(tb.stack[1], t)
 			tb.event(EventSecondBody, "", NamespaceHTML, t.Pos)
 		}
 		return true
@@ -529,7 +529,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			body.Parent.RemoveChild(body)
 		}
 		tb.stack = tb.stack[:1]
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.mode = modeInFrameset
 		return true
 	case "address", "article", "aside", "blockquote", "center", "details",
@@ -539,7 +539,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "h1", "h2", "h3", "h4", "h5", "h6":
 		if tb.elementInScope(buttonScopeExtra, "p") {
@@ -552,13 +552,13 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 				tb.pop()
 			}
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "pre", "listing":
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.skipLeadingNewline = true
 		tb.framesetOK = false
 		return true
@@ -573,7 +573,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.form = tb.insertElement(*t, NamespaceHTML)
+		tb.form = tb.insertElement(t, NamespaceHTML)
 		return true
 	case "li":
 		tb.framesetOK = false
@@ -595,7 +595,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "dd", "dt":
 		tb.framesetOK = false
@@ -617,13 +617,13 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "plaintext":
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.z.StartRawText("plaintext")
 		return true
 	case "button":
@@ -633,7 +633,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			tb.popUntil("button")
 		}
 		tb.reconstructAFE()
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.framesetOK = false
 		return true
 	case "a":
@@ -645,14 +645,14 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			tb.removeFromStack(n)
 		}
 		tb.reconstructAFE()
-		n := tb.insertElement(*t, NamespaceHTML)
-		tb.pushAFE(n, *t)
+		n := tb.insertElement(t, NamespaceHTML)
+		tb.pushAFE(n, t)
 		return true
 	case "b", "big", "code", "em", "font", "i", "s", "small", "strike",
 		"strong", "tt", "u":
 		tb.reconstructAFE()
-		n := tb.insertElement(*t, NamespaceHTML)
-		tb.pushAFE(n, *t)
+		n := tb.insertElement(t, NamespaceHTML)
+		tb.pushAFE(n, t)
 		return true
 	case "nobr":
 		tb.reconstructAFE()
@@ -661,12 +661,12 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			tb.adoptionAgency(&Token{Type: EndTagToken, Data: "nobr", Pos: t.Pos})
 			tb.reconstructAFE()
 		}
-		n := tb.insertElement(*t, NamespaceHTML)
-		tb.pushAFE(n, *t)
+		n := tb.insertElement(t, NamespaceHTML)
+		tb.pushAFE(n, t)
 		return true
 	case "applet", "marquee", "object":
 		tb.reconstructAFE()
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.pushAFEMarker()
 		tb.framesetOK = false
 		return true
@@ -674,20 +674,20 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if !tb.quirks && tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.framesetOK = false
 		tb.mode = modeInTable
 		return true
 	case "area", "br", "embed", "img", "keygen", "wbr":
 		tb.reconstructAFE()
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.pop()
 		tb.ackSelfClosing()
 		tb.framesetOK = false
 		return true
 	case "input":
 		tb.reconstructAFE()
-		n := tb.insertElement(*t, NamespaceHTML)
+		n := tb.insertElement(t, NamespaceHTML)
 		tb.pop()
 		tb.ackSelfClosing()
 		if typ, _ := n.LookupAttr("type"); asciiLower(typ) != "hidden" {
@@ -695,7 +695,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		}
 		return true
 	case "param", "source", "track":
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.pop()
 		tb.ackSelfClosing()
 		return true
@@ -703,7 +703,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.pop()
 		tb.ackSelfClosing()
 		tb.framesetOK = false
@@ -714,7 +714,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		t.Data = "img"
 		return false
 	case "textarea":
-		tb.parseGenericRawText(*t)
+		tb.parseGenericRawText(t)
 		tb.framesetOK = false
 		return true
 	case "xmp":
@@ -723,26 +723,26 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		}
 		tb.reconstructAFE()
 		tb.framesetOK = false
-		tb.parseGenericRawText(*t)
+		tb.parseGenericRawText(t)
 		return true
 	case "iframe":
 		tb.framesetOK = false
-		tb.parseGenericRawText(*t)
+		tb.parseGenericRawText(t)
 		return true
 	case "noembed":
-		tb.parseGenericRawText(*t)
+		tb.parseGenericRawText(t)
 		return true
 	case "noscript":
 		if tb.scriptingEnabled {
-			tb.parseGenericRawText(*t)
+			tb.parseGenericRawText(t)
 			return true
 		}
 		tb.reconstructAFE()
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "select":
 		tb.reconstructAFE()
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		tb.framesetOK = false
 		switch tb.mode {
 		case modeInTable, modeInCaption, modeInTableBody, modeInRow, modeInCell:
@@ -756,24 +756,24 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			tb.pop()
 		}
 		tb.reconstructAFE()
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "rb", "rtc":
 		if tb.elementInScope(nil, "ruby") {
 			tb.generateImpliedEndTags("")
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "rp", "rt":
 		if tb.elementInScope(nil, "ruby") {
 			tb.generateImpliedEndTags("rtc")
 		}
-		tb.insertElement(*t, NamespaceHTML)
+		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "math":
 		tb.reconstructAFE()
 		adjustAttrNames(t, mathMLAttrName)
-		tb.insertElement(*t, NamespaceMathML)
+		tb.insertElement(t, NamespaceMathML)
 		if t.SelfClosing {
 			tb.pop()
 			tb.ackSelfClosing()
@@ -782,7 +782,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 	case "svg":
 		tb.reconstructAFE()
 		adjustAttrNames(t, svgAttrName)
-		tb.insertElement(*t, NamespaceSVG)
+		tb.insertElement(t, NamespaceSVG)
 		if t.SelfClosing {
 			tb.pop()
 			tb.ackSelfClosing()
@@ -805,7 +805,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.event(EventForeignElementInHTML, t.Data, NamespaceMathML, t.Pos)
 	}
 	tb.reconstructAFE()
-	tb.insertElement(*t, NamespaceHTML)
+	tb.insertElement(t, NamespaceHTML)
 	return true
 }
 
@@ -989,7 +989,7 @@ func (tb *treeBuilder) inTableIM(t *Token) bool {
 			return false
 		}
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -1001,12 +1001,12 @@ func (tb *treeBuilder) inTableIM(t *Token) bool {
 		case "caption":
 			tb.clearStackToContext(tableContextTags)
 			tb.pushAFEMarker()
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInCaption
 			return true
 		case "colgroup":
 			tb.clearStackToContext(tableContextTags)
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInColumnGroup
 			return true
 		case "col":
@@ -1016,7 +1016,7 @@ func (tb *treeBuilder) inTableIM(t *Token) bool {
 			return false
 		case "tbody", "tfoot", "thead":
 			tb.clearStackToContext(tableContextTags)
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInTableBody
 			return true
 		case "td", "th", "tr":
@@ -1037,14 +1037,14 @@ func (tb *treeBuilder) inTableIM(t *Token) bool {
 		case "input":
 			if typ, _ := t.LookupAttr("type"); asciiLower(typ) == "hidden" {
 				tb.parseError(ErrUnexpectedStartTag, "input", t.Pos)
-				tb.insertElement(*t, NamespaceHTML)
+				tb.insertElement(t, NamespaceHTML)
 				tb.pop()
 				return true
 			}
 		case "form":
 			tb.parseError(ErrUnexpectedStartTag, "form", t.Pos)
 			if tb.form == nil {
-				tb.form = tb.insertElement(*t, NamespaceHTML)
+				tb.form = tb.insertElement(t, NamespaceHTML)
 				tb.pop()
 			}
 			return true
@@ -1109,8 +1109,8 @@ func (tb *treeBuilder) inTableTextIM(t *Token) bool {
 		return true
 	}
 	var all strings.Builder
-	for _, ct := range tb.pendingTableText {
-		all.WriteString(ct.Data)
+	for i := range tb.pendingTableText {
+		all.WriteString(tb.pendingTableText[i].Data)
 	}
 	text := all.String()
 	tb.pendingTableText = tb.pendingTableText[:0]
@@ -1193,7 +1193,7 @@ func (tb *treeBuilder) inColumnGroupIM(t *Token) bool {
 		}
 		t.Data = rest
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -1205,7 +1205,7 @@ func (tb *treeBuilder) inColumnGroupIM(t *Token) bool {
 		case "html":
 			return tb.inBodyIM(t)
 		case "col":
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.pop()
 			tb.ackSelfClosing()
 			return true
@@ -1246,7 +1246,7 @@ func (tb *treeBuilder) inTableBodyIM(t *Token) bool {
 		switch t.Data {
 		case "tr":
 			tb.clearStackToContext(tableBodyContextTags)
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInRow
 			return true
 		case "th", "td":
@@ -1301,7 +1301,7 @@ func (tb *treeBuilder) inRowIM(t *Token) bool {
 		switch t.Data {
 		case "th", "td":
 			tb.clearStackToContext(tableRowContextTags)
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.mode = modeInCell
 			tb.pushAFEMarker()
 			return true
@@ -1417,7 +1417,7 @@ func (tb *treeBuilder) inSelectIM(t *Token) bool {
 		tb.insertText(data, t.Pos)
 		return true
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case DoctypeToken:
 		tb.parseError(ErrUnexpectedDoctype, "", t.Pos)
@@ -1432,7 +1432,7 @@ func (tb *treeBuilder) inSelectIM(t *Token) bool {
 			if tb.currentNode().IsElement("option") {
 				tb.pop()
 			}
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			return true
 		case "optgroup":
 			if tb.currentNode().IsElement("option") {
@@ -1441,7 +1441,7 @@ func (tb *treeBuilder) inSelectIM(t *Token) bool {
 			if tb.currentNode().IsElement("optgroup") {
 				tb.pop()
 			}
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			return true
 		case "select":
 			tb.parseError(ErrUnexpectedStartTag, "select", t.Pos)
@@ -1535,7 +1535,7 @@ func (tb *treeBuilder) afterBodyIM(t *Token) bool {
 		}
 	case CommentToken:
 		if len(tb.stack) > 0 {
-			tb.insertComment(*t, tb.stack[0])
+			tb.insertComment(t, tb.stack[0])
 		}
 		return true
 	case DoctypeToken:
@@ -1564,7 +1564,7 @@ func (tb *treeBuilder) afterBodyIM(t *Token) bool {
 func (tb *treeBuilder) afterAfterBodyIM(t *Token) bool {
 	switch t.Type {
 	case CommentToken:
-		tb.insertComment(*t, tb.doc)
+		tb.insertComment(t, tb.doc)
 		return true
 	case CharacterToken:
 		if isAllWhitespace(t.Data) {
@@ -1598,7 +1598,7 @@ func (tb *treeBuilder) inFramesetIM(t *Token) bool {
 		}
 		return true
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case EOFToken:
 		tb.stopParsing(t.Pos)
@@ -1608,10 +1608,10 @@ func (tb *treeBuilder) inFramesetIM(t *Token) bool {
 		case "html":
 			return tb.inBodyIM(t)
 		case "frameset":
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			return true
 		case "frame":
-			tb.insertElement(*t, NamespaceHTML)
+			tb.insertElement(t, NamespaceHTML)
 			tb.pop()
 			tb.ackSelfClosing()
 			return true
@@ -1642,7 +1642,7 @@ func (tb *treeBuilder) afterFramesetIM(t *Token) bool {
 		}
 		return true
 	case CommentToken:
-		tb.insertComment(*t, nil)
+		tb.insertComment(t, nil)
 		return true
 	case EOFToken:
 		tb.stopParsing(t.Pos)
@@ -1667,7 +1667,7 @@ func (tb *treeBuilder) afterFramesetIM(t *Token) bool {
 func (tb *treeBuilder) afterAfterFramesetIM(t *Token) bool {
 	switch t.Type {
 	case CommentToken:
-		tb.insertComment(*t, tb.doc)
+		tb.insertComment(t, tb.doc)
 		return true
 	case CharacterToken:
 		ws, _ := splitLeadingWhitespace(t.Data)

@@ -12,12 +12,13 @@ import (
 // Scratch is recycled between parses: the token queue, text and
 // attribute accumulators, open-element stack, active-formatting list and
 // error slices. Everything that escapes into a Result — the preprocessed
-// input buffer, the node arena slabs, the events and tokens slices — is
-// left to the document, so a Result stays valid after the parser moves on
-// (there is no aliasing between two parses' outputs). The one exception
-// is ParseScoped, whose Result is dead once its callback returns: that
-// parse clears its node slabs and keeps up to keptSlabs of them, and any
-// later parse in the same Parser draws on those before allocating.
+// input buffer, the merged-text buffers, the node arena slabs, the
+// events and tokens slices — is left to the document, so a Result stays
+// valid after the parser moves on (there is no aliasing between two
+// parses' outputs). The one exception is ParseScoped, whose Result is
+// dead once its callback returns: that parse clears its node slabs and
+// keeps up to keptSlabs of them, and any later parse in the same Parser
+// draws on those before allocating.
 //
 // An idle Parser pins nothing of the last document: release scrubs every
 // pointer into it, including stale slots past the length of the scratch

@@ -36,96 +36,59 @@ var rawTextContent = newStringSet(
 	"plaintext", "noscript",
 )
 
-// Render serializes the tree rooted at n to w. Document and fragment roots
-// serialize as the concatenation of their children.
+// Render serializes the tree rooted at n to w in one write. Document and
+// fragment roots serialize as the concatenation of their children.
 func Render(w io.Writer, n *Node) error {
-	buf, ok := w.(interface{ WriteString(string) (int, error) })
-	if !ok {
-		buf = stringWriter{w}
-	}
-	return render(buf, n)
+	_, err := w.Write(AppendRender(nil, n))
+	return err
 }
 
 // RenderString serializes the tree rooted at n to a string.
-func RenderString(n *Node) string {
-	var b strings.Builder
-	_ = render(&b, n) // strings.Builder never fails
-	return b.String()
-}
+func RenderString(n *Node) string { return string(AppendRender(nil, n)) }
 
-type stringWriter struct{ io.Writer }
-
-func (s stringWriter) WriteString(str string) (int, error) { return s.Write([]byte(str)) }
-
-type sw interface{ WriteString(string) (int, error) }
-
-func render(w sw, n *Node) error {
+// AppendRender appends the serialization of the tree rooted at n to dst
+// and returns the extended buffer. Escapes are written straight into
+// dst, so a caller that sizes dst for the output allocates nothing else.
+func AppendRender(dst []byte, n *Node) []byte {
 	switch n.Type {
 	case DocumentNode:
-		return renderChildren(w, n)
+		return appendChildren(dst, n)
 	case ElementNode:
-		return renderElement(w, n)
+		return appendElement(dst, n)
 	case TextNode:
 		if p := n.Parent; p != nil && p.Type == ElementNode && p.Namespace == NamespaceHTML && rawTextContent[p.Data] {
-			_, err := w.WriteString(n.Data)
-			return err
+			return append(dst, n.Data...)
 		}
-		_, err := w.WriteString(escapeText(n.Data))
-		return err
+		return appendEscaped(dst, n.Data, &textSpecial)
 	case CommentNode:
-		if _, err := w.WriteString("<!--"); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(n.Data); err != nil {
-			return err
-		}
-		_, err := w.WriteString("-->")
-		return err
+		dst = append(dst, "<!--"...)
+		dst = append(dst, n.Data...)
+		return append(dst, "-->"...)
 	case DoctypeNode:
-		if _, err := w.WriteString("<!DOCTYPE "); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(n.Data); err != nil {
-			return err
-		}
-		_, err := w.WriteString(">")
-		return err
+		dst = append(dst, "<!DOCTYPE "...)
+		dst = append(dst, n.Data...)
+		return append(dst, '>')
 	}
-	return nil
+	return dst
 }
 
-func renderElement(w sw, n *Node) error {
-	if _, err := w.WriteString("<"); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(n.Data); err != nil {
-		return err
-	}
-	for _, a := range n.Attr {
+func appendElement(dst []byte, n *Node) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, n.Data...)
+	for i := range n.Attr {
+		a := &n.Attr[i]
 		if a.Duplicate {
 			continue
 		}
-		if _, err := w.WriteString(" "); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(a.Name); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(`="`); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(escapeAttr(a.Value)); err != nil {
-			return err
-		}
-		if _, err := w.WriteString(`"`); err != nil {
-			return err
-		}
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name...)
+		dst = append(dst, `="`...)
+		dst = appendEscaped(dst, a.Value, &attrSpecial)
+		dst = append(dst, '"')
 	}
-	if _, err := w.WriteString(">"); err != nil {
-		return err
-	}
+	dst = append(dst, '>')
 	if n.Namespace == NamespaceHTML && voidElements[n.Data] {
-		return nil
+		return dst
 	}
 	// Spec 13.3: the parser drops a newline immediately after an opening
 	// pre/textarea/listing tag, so a text child that genuinely starts
@@ -133,33 +96,22 @@ func renderElement(w sw, n *Node) error {
 	if n.Namespace == NamespaceHTML &&
 		(n.Data == "pre" || n.Data == "textarea" || n.Data == "listing") {
 		if c := n.FirstChild; c != nil && c.Type == TextNode && strings.HasPrefix(c.Data, "\n") {
-			if _, err := w.WriteString("\n"); err != nil {
-				return err
-			}
+			dst = append(dst, '\n')
 		}
 	}
 	// An RCDATA element's text serializes escaped (title, textarea),
 	// handled by the TextNode case; raw-text elements verbatim.
-	if err := renderChildren(w, n); err != nil {
-		return err
-	}
-	if _, err := w.WriteString("</"); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(n.Data); err != nil {
-		return err
-	}
-	_, err := w.WriteString(">")
-	return err
+	dst = appendChildren(dst, n)
+	dst = append(dst, "</"...)
+	dst = append(dst, n.Data...)
+	return append(dst, '>')
 }
 
-func renderChildren(w sw, n *Node) error {
+func appendChildren(dst []byte, n *Node) []byte {
 	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		if err := render(w, c); err != nil {
-			return err
-		}
+		dst = AppendRender(dst, c)
 	}
-	return nil
+	return dst
 }
 
 // A literal CR can only enter the DOM through a character reference
@@ -167,20 +119,54 @@ func renderChildren(w sw, n *Node) error {
 // serializing it raw would turn it back into LF on re-parse. Escaping
 // it as &#13; keeps the round trip faithful; raw-text elements are safe
 // to serialize verbatim because their content never decodes references.
-var textEscaper = strings.NewReplacer(
-	"&", "&amp;",
-	" ", "&nbsp;",
-	"<", "&lt;",
-	">", "&gt;",
-	"\r", "&#13;",
+// U+00A0 becomes &nbsp;; its lead byte 0xC2 is only marked here, and
+// appendEscaped checks the byte after it.
+var (
+	textSpecial = specialBytes("&<>\r\xc2")
+	attrSpecial = specialBytes("&\"\r\xc2")
 )
 
-var attrEscaper = strings.NewReplacer(
-	"&", "&amp;",
-	" ", "&nbsp;",
-	`"`, "&quot;",
-	"\r", "&#13;",
-)
+func specialBytes(bs string) (t [256]bool) {
+	for i := 0; i < len(bs); i++ {
+		t[bs[i]] = true
+	}
+	return t
+}
 
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+// appendEscaped appends s to dst with every byte special marks replaced
+// by its reference. It matches byte for byte, so a stray 0xC2 that is
+// not followed by 0xA0 passes through untouched.
+func appendEscaped(dst []byte, s string, special *[256]bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if !special[s[i]] {
+			continue
+		}
+		var ref string
+		switch s[i] {
+		case '&':
+			ref = "&amp;"
+		case '<':
+			ref = "&lt;"
+		case '>':
+			ref = "&gt;"
+		case '"':
+			ref = "&quot;"
+		case '\r':
+			ref = "&#13;"
+		default: // 0xC2
+			if i+1 == len(s) || s[i+1] != 0xA0 {
+				continue
+			}
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, "&nbsp;"...)
+			i++
+			last = i + 1
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, ref...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}

@@ -489,7 +489,7 @@ func (z *Tokenizer) flushText() {
 	z.queue = append(z.queue, Token{Type: CharacterToken, Data: z.text.take(z.input), Pos: z.textPos})
 }
 
-func (z *Tokenizer) emit(t Token) {
+func (z *Tokenizer) emit(t *Token) {
 	z.flushText()
 	if t.Type == StartTagToken {
 		z.lastStartTag = t.Data
@@ -499,7 +499,7 @@ func (z *Tokenizer) emit(t Token) {
 			}
 		}
 	}
-	z.queue = append(z.queue, t)
+	z.queue = append(z.queue, *t)
 }
 
 func (z *Tokenizer) emitEOF() {
@@ -510,17 +510,22 @@ func (z *Tokenizer) emitEOF() {
 
 // Next returns the next token. After the input is exhausted it returns
 // EOFToken forever.
-func (z *Tokenizer) Next() Token {
+func (z *Tokenizer) Next() Token { return *z.nextToken() }
+
+// nextToken returns the next token in place: the queue slot that holds
+// it, valid until the following call, which may refill the slot.
+func (z *Tokenizer) nextToken() *Token {
 	for z.qhead >= len(z.queue) {
-		if z.emittedEOF {
-			return Token{Type: EOFToken, Pos: z.position()}
-		}
 		// Drained: rewind so step() refills the same backing array.
 		z.queue = z.queue[:0]
 		z.qhead = 0
+		if z.emittedEOF {
+			z.queue = append(z.queue, Token{Type: EOFToken, Pos: z.position()})
+			break
+		}
 		z.step()
 	}
-	t := z.queue[z.qhead]
+	t := &z.queue[z.qhead]
 	z.qhead++
 	return t
 }
@@ -547,7 +552,7 @@ func (z *Tokenizer) addLower(a *strAcc, r rune) {
 // emitComment emits the current comment token with its accumulated data.
 func (z *Tokenizer) emitComment() {
 	z.cur.Data = z.data.take(z.input)
-	z.emit(z.cur)
+	z.emit(&z.cur)
 }
 
 func (z *Tokenizer) startNewAttr() {
@@ -600,7 +605,7 @@ func (z *Tokenizer) emitCurrentTag() {
 			z.cur.SelfClosing = false
 		}
 	}
-	z.emit(z.cur)
+	z.emit(&z.cur)
 }
 
 // appropriateEndTag reports whether the end tag name in progress matches
@@ -1796,7 +1801,7 @@ func (z *Tokenizer) doctypeState() {
 		z.state = stateBeforeDoctypeName
 	case r == eofRune:
 		z.parseError(ErrEOFInDoctype, "")
-		z.emit(Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
+		z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
 		z.emitEOF()
 	default:
 		z.parseError(ErrMissingWhitespaceBeforeDoctypeName, "")
@@ -1814,11 +1819,11 @@ func (z *Tokenizer) beforeDoctypeNameState() {
 		case r == '>':
 			z.parseError(ErrMissingDoctypeName, "")
 			z.state = stateData
-			z.emit(Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
+			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
 			return
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
-			z.emit(Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
+			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
 			z.emitEOF()
 			return
 		case r == 0:
@@ -1847,7 +1852,7 @@ func (z *Tokenizer) doctypeNameState() {
 		case r == '>':
 			z.cur.Data = z.data.take(z.input)
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
@@ -1856,7 +1861,7 @@ func (z *Tokenizer) doctypeNameState() {
 			z.cur.Data = z.data.take(z.input)
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -1873,12 +1878,12 @@ func (z *Tokenizer) afterDoctypeNameState() {
 			// ignore
 		case r == '>':
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -1917,11 +1922,11 @@ func (z *Tokenizer) afterDoctypePublicKeywordState() {
 		z.parseError(ErrMissingDoctypePublicIdentifier, "")
 		z.cur.ForceQuirks = true
 		z.state = stateData
-		z.emit(z.cur)
+		z.emit(&z.cur)
 	case r == eofRune:
 		z.parseError(ErrEOFInDoctype, "")
 		z.cur.ForceQuirks = true
-		z.emit(z.cur)
+		z.emit(&z.cur)
 		z.emitEOF()
 	default:
 		z.parseError(ErrMissingQuoteBeforeDoctypePublicID, "")
@@ -1946,12 +1951,12 @@ func (z *Tokenizer) beforeDoctypePublicIdentifierState() {
 			z.parseError(ErrMissingDoctypePublicIdentifier, "")
 			z.cur.ForceQuirks = true
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -1980,13 +1985,13 @@ func (z *Tokenizer) doctypePublicIdentifierState(quote rune) {
 			z.parseError(ErrAbruptDoctypePublicIdentifier, "")
 			z.cur.ForceQuirks = true
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == eofRune:
 			z.cur.PublicID = z.data.take(z.input)
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -2002,7 +2007,7 @@ func (z *Tokenizer) afterDoctypePublicIdentifierState() {
 		z.state = stateBetweenDoctypePublicAndSystemIdentifiers
 	case r == '>':
 		z.state = stateData
-		z.emit(z.cur)
+		z.emit(&z.cur)
 	case r == '"':
 		z.parseError(ErrMissingWhitespaceBetweenDTIDs, "")
 		z.state = stateDoctypeSystemIdentifierDoubleQuoted
@@ -2012,7 +2017,7 @@ func (z *Tokenizer) afterDoctypePublicIdentifierState() {
 	case r == eofRune:
 		z.parseError(ErrEOFInDoctype, "")
 		z.cur.ForceQuirks = true
-		z.emit(z.cur)
+		z.emit(&z.cur)
 		z.emitEOF()
 	default:
 		z.parseError(ErrMissingQuoteBeforeDoctypeSystemID, "")
@@ -2029,7 +2034,7 @@ func (z *Tokenizer) betweenDoctypePublicAndSystemIdentifiersState() {
 		case isWhitespace(r):
 		case r == '>':
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == '"':
 			z.state = stateDoctypeSystemIdentifierDoubleQuoted
@@ -2040,7 +2045,7 @@ func (z *Tokenizer) betweenDoctypePublicAndSystemIdentifiersState() {
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -2068,11 +2073,11 @@ func (z *Tokenizer) afterDoctypeSystemKeywordState() {
 		z.parseError(ErrMissingDoctypeSystemIdentifier, "")
 		z.cur.ForceQuirks = true
 		z.state = stateData
-		z.emit(z.cur)
+		z.emit(&z.cur)
 	case r == eofRune:
 		z.parseError(ErrEOFInDoctype, "")
 		z.cur.ForceQuirks = true
-		z.emit(z.cur)
+		z.emit(&z.cur)
 		z.emitEOF()
 	default:
 		z.parseError(ErrMissingQuoteBeforeDoctypeSystemID, "")
@@ -2097,12 +2102,12 @@ func (z *Tokenizer) beforeDoctypeSystemIdentifierState() {
 			z.parseError(ErrMissingDoctypeSystemIdentifier, "")
 			z.cur.ForceQuirks = true
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -2131,13 +2136,13 @@ func (z *Tokenizer) doctypeSystemIdentifierState(quote rune) {
 			z.parseError(ErrAbruptDoctypeSystemIdentifier, "")
 			z.cur.ForceQuirks = true
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == eofRune:
 			z.cur.SystemID = z.data.take(z.input)
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -2153,12 +2158,12 @@ func (z *Tokenizer) afterDoctypeSystemIdentifierState() {
 		case isWhitespace(r):
 		case r == '>':
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
 			z.cur.ForceQuirks = true
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		default:
@@ -2176,12 +2181,12 @@ func (z *Tokenizer) bogusDoctypeState() {
 		switch r {
 		case '>':
 			z.state = stateData
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
 		case eofRune:
-			z.emit(z.cur)
+			z.emit(&z.cur)
 			z.emitEOF()
 			return
 		}

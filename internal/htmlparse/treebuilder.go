@@ -76,6 +76,11 @@ type treeBuilder struct {
 	pendingTableText []Token
 	tableTextPos     Position
 
+	// runNode is the text node that the last merge of adjacent text went
+	// into; its Data is a view of runBuf (see mergeText).
+	runNode *Node
+	runBuf  []byte
+
 	skipLeadingNewline bool
 
 	errors []ParseError
@@ -83,10 +88,8 @@ type treeBuilder struct {
 
 	recordTokens bool
 	tokens       []Token
-	// onTag is Options.OnTag; hookTok is the token it is handed, kept in
-	// the builder so the per-tag call does not allocate.
-	onTag   func(*Token)
-	hookTok Token
+	// onTag is Options.OnTag, handed the tokenizer's queue slot.
+	onTag func(*Token)
 
 	// fragment, when non-nil, is the context element of the HTML fragment
 	// parsing algorithm; it stands in for the root as the adjusted current
@@ -374,7 +377,7 @@ func (tb *treeBuilder) insertNode(n *Node) {
 }
 
 // insertElement creates an element node for the token and pushes it.
-func (tb *treeBuilder) insertElement(t Token, ns Namespace) *Node {
+func (tb *treeBuilder) insertElement(t *Token, ns Namespace) *Node {
 	n := tb.createElement(t, ns)
 	tb.insertNode(n)
 	tb.push(n)
@@ -395,12 +398,12 @@ func (tb *treeBuilder) cloneNode(n *Node) *Node {
 	return c
 }
 
-func (tb *treeBuilder) createElement(t Token, ns Namespace) *Node {
+func (tb *treeBuilder) createElement(t *Token, ns Namespace) *Node {
 	n := tb.newNode()
 	*n = Node{Type: ElementNode, Data: t.Data, Namespace: ns, Pos: t.Pos}
 	dup := false
-	for _, a := range t.Attr {
-		if a.Duplicate {
+	for i := range t.Attr {
+		if t.Attr[i].Duplicate {
 			dup = true
 			break
 		}
@@ -412,9 +415,9 @@ func (tb *treeBuilder) createElement(t Token, ns Namespace) *Node {
 		n.Attr = t.Attr
 		return n
 	}
-	for _, a := range t.Attr {
-		if !a.Duplicate {
-			n.Attr = append(n.Attr, a)
+	for i := range t.Attr {
+		if !t.Attr[i].Duplicate {
+			n.Attr = append(n.Attr, t.Attr[i])
 		}
 	}
 	return n
@@ -443,7 +446,7 @@ func (tb *treeBuilder) insertText(data string, pos Position) {
 		prev = parent.LastChild
 	}
 	if prev != nil && prev.Type == TextNode {
-		prev.Data += data
+		tb.mergeText(prev, data)
 		return
 	}
 	n := tb.newNode()
@@ -456,9 +459,25 @@ func (tb *treeBuilder) insertText(data string, pos Position) {
 	}
 }
 
+// mergeText appends data to the text node prev. Merged text grows in a
+// buffer the builder owns for the run of merges into one node, and
+// prev.Data is a view of the buffer's filled part, so n merges copy each
+// byte a constant number of times instead of once per merge. A merge
+// only writes past the end of every view already handed out, and a run
+// into another node takes a fresh buffer, so no view's bytes change.
+func (tb *treeBuilder) mergeText(prev *Node, data string) {
+	if prev != tb.runNode {
+		tb.runNode = prev
+		tb.runBuf = make([]byte, 0, 2*(len(prev.Data)+len(data)))
+		tb.runBuf = append(tb.runBuf, prev.Data...)
+	}
+	tb.runBuf = append(tb.runBuf, data...)
+	prev.Data = zcString(tb.runBuf)
+}
+
 // insertComment appends a comment node to the given parent (or the
 // appropriate place when parent is nil).
-func (tb *treeBuilder) insertComment(t Token, parent *Node) {
+func (tb *treeBuilder) insertComment(t *Token, parent *Node) {
 	n := tb.newNode()
 	*n = Node{Type: CommentNode, Data: t.Data, Pos: t.Pos}
 	if parent != nil {
@@ -488,13 +507,14 @@ func (tb *treeBuilder) closePElement() {
 
 // mergeAttrs copies attributes from t that dst does not already have
 // (the <html> and second-<body> merge rule).
-func (tb *treeBuilder) mergeAttrs(dst *Node, t Token) {
-	for _, a := range t.Attr {
+func (tb *treeBuilder) mergeAttrs(dst *Node, t *Token) {
+	for i := range t.Attr {
+		a := &t.Attr[i]
 		if a.Duplicate {
 			continue
 		}
 		if _, ok := dst.LookupAttr(a.Name); !ok {
-			dst.Attr = append(dst.Attr, a)
+			dst.Attr = append(dst.Attr, *a)
 		}
 	}
 }
@@ -503,14 +523,14 @@ func (tb *treeBuilder) mergeAttrs(dst *Node, t Token) {
 
 // pushAFE adds a formatting element, applying the Noah's Ark clause (at
 // most three identical entries since the last marker).
-func (tb *treeBuilder) pushAFE(n *Node, t Token) {
+func (tb *treeBuilder) pushAFE(n *Node, t *Token) {
 	identical := 0
 	for i := len(tb.afe) - 1; i >= 0; i-- {
-		e := tb.afe[i]
-		if e.node == nil {
+		e := tb.afe[i].node
+		if e == nil {
 			break
 		}
-		if sameFormatting(e.node, n) {
+		if sameFormatting(e, n) {
 			identical++
 			if identical == 3 {
 				tb.afe = append(tb.afe[:i], tb.afe[i+1:]...)
@@ -518,7 +538,7 @@ func (tb *treeBuilder) pushAFE(n *Node, t Token) {
 			}
 		}
 	}
-	tb.afe = append(tb.afe, afeEntry{node: n, token: t})
+	tb.afe = append(tb.afe, afeEntry{node: n, token: *t})
 }
 
 func sameFormatting(a, b *Node) bool {
@@ -542,9 +562,9 @@ func (tb *treeBuilder) pushAFEMarker() {
 // elements up to the last marker".
 func (tb *treeBuilder) clearAFEToMarker() {
 	for len(tb.afe) > 0 {
-		e := tb.afe[len(tb.afe)-1]
+		e := tb.afe[len(tb.afe)-1].node
 		tb.afe = tb.afe[:len(tb.afe)-1]
-		if e.node == nil {
+		if e == nil {
 			return
 		}
 	}
@@ -578,23 +598,22 @@ func (tb *treeBuilder) reconstructAFE() {
 	if len(tb.afe) == 0 {
 		return
 	}
-	last := tb.afe[len(tb.afe)-1]
-	if last.node == nil || tb.indexOnStack(last.node) >= 0 {
+	last := tb.afe[len(tb.afe)-1].node
+	if last == nil || tb.indexOnStack(last) >= 0 {
 		return
 	}
 	// Rewind to the earliest entry needing reconstruction.
 	i := len(tb.afe) - 1
 	for i > 0 {
-		prev := tb.afe[i-1]
-		if prev.node == nil || tb.indexOnStack(prev.node) >= 0 {
+		prev := tb.afe[i-1].node
+		if prev == nil || tb.indexOnStack(prev) >= 0 {
 			break
 		}
 		i--
 	}
 	for ; i < len(tb.afe); i++ {
-		entry := tb.afe[i]
-		n := tb.insertElement(entry.token, NamespaceHTML)
-		tb.afe[i] = afeEntry{node: n, token: entry.token}
+		e := &tb.afe[i]
+		e.node = tb.insertElement(&e.token, NamespaceHTML)
 	}
 }
 

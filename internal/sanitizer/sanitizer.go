@@ -77,13 +77,11 @@ func (s *Sanitizer) Sanitize(input string) (string, error) {
 		return "", err
 	}
 	s.clean(res.Doc)
-	var b strings.Builder
+	var out []byte
 	for c := res.Doc.FirstChild; c != nil; c = c.NextSibling {
-		if err := htmlparse.Render(&b, c); err != nil {
-			return "", err
-		}
+		out = htmlparse.AppendRender(out, c)
 	}
-	return b.String(), nil
+	return string(out), nil
 }
 
 func (s *Sanitizer) clean(n *htmlparse.Node) {
