@@ -53,8 +53,9 @@ fix-conform-update:
 # Metamorphic fuzz smoke: 30s per oracle-free invariant (render→reparse
 # fixpoint, truncation stability, attribute-order invariance, decoder
 # agreement, one-pass check ≡ replayed check) over the checked-in seed
-# corpora, the serializer against its reference, plus the pooled WARC
-# decoder against a fresh one.
+# corpora, the serializer against its reference, the position resolver
+# against a per-offset reference, plus the pooled WARC decoder against a
+# fresh one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzRenderParseFixpoint$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzTruncationStability$$' -fuzztime=30s ./internal/conformance
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzFixMonotonicity$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzOnePassAgreement$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzRender$$' -fuzztime=30s ./internal/conformance
+	$(GO) test -run '^$$' -fuzz='^FuzzResolvePositions$$' -fuzztime=30s ./internal/htmlparse
 	$(GO) test -run '^$$' -fuzz='^FuzzReadRecordAt$$' -fuzztime=30s ./internal/warc
 
 # The end-to-end benchmark's own tests, under the race detector. perfbench

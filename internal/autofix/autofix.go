@@ -30,7 +30,8 @@ import (
 type Fix struct {
 	RuleID      string
 	Description string
-	Pos         htmlparse.Position
+	// Pos is resolved against the input of the round that recorded it.
+	Pos htmlparse.Position
 }
 
 func (f Fix) String() string {

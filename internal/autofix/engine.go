@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/hvscan/hvscan/internal/core"
 	"github.com/hvscan/hvscan/internal/htmlparse"
@@ -16,6 +17,17 @@ import (
 // document that has not converged by then is declared Unfixable rather
 // than looped on.
 const maxRounds = 3
+
+// checker runs the full catalogue for every repair. A Checker is
+// read-only once built (each check keeps its state in its own pass), so
+// concurrent repairs share it.
+var checker = core.NewChecker()
+
+// unrepaired lists, in catalogue order, the rules no strategy covers.
+// Verification only requires that these never get worse.
+var unrepaired = slices.DeleteFunc(core.RuleIDs(), func(id string) bool {
+	return slices.Contains(StrategyRuleIDs(), id)
+})
 
 // Options configures Repair.
 type Options struct {
@@ -46,7 +58,6 @@ func Repair(input []byte) (*Result, error) {
 // the tree is serialized, so no tree outlives its round and every
 // round's node slabs go back to the pooled parser.
 func RepairContext(ctx context.Context, input []byte, opts Options) (*Result, error) {
-	checker := core.NewChecker()
 	rs := &rounds{input: input, cur: input, r: &Result{Output: input}}
 	for {
 		rs.next = nil
@@ -120,10 +131,7 @@ func (rs *rounds) round(res *htmlparse.Result, rep *core.Report) {
 func (rs *rounds) settle(rep *core.Report) bool {
 	// No rule outside the registry may get worse than this round's
 	// input: those we could not fix next round anyway, so fail fast.
-	for _, id := range core.RuleIDs() {
-		if strategyFor(id) != nil {
-			continue
-		}
+	for _, id := range unrepaired {
 		if rep.RuleHits[id] > rs.prev.RuleHits[id] {
 			rs.fail(Unfixable{RuleID: id, Reason: fmt.Sprintf(
 				"repair would introduce %d new finding(s)",
@@ -161,7 +169,8 @@ func (rs *rounds) fail(uf ...Unfixable) {
 }
 
 // applyStrategies runs every registered strategy whose rule has findings
-// in rep, in registry order, against res. It returns the recorded fixes.
+// in rep, in registry order, against res. It returns the recorded fixes,
+// their lines and columns resolved against res.Input.
 func applyStrategies(res *htmlparse.Result, rep *core.Report) []Fix {
 	var fixes []Fix
 	for _, s := range strategies {
@@ -173,6 +182,7 @@ func applyStrategies(res *htmlparse.Result, rep *core.Report) []Fix {
 		s.Apply(tx)
 		fixes = append(fixes, tx.fixes...)
 	}
+	htmlparse.ResolvePositions(res.Input, fixes, func(f *Fix) *htmlparse.Position { return &f.Pos })
 	return fixes
 }
 
@@ -184,15 +194,6 @@ func findingsFor(rep *core.Report, id string) []core.Finding {
 		}
 	}
 	return out
-}
-
-func strategyFor(id string) Strategy {
-	for _, s := range strategies {
-		if s.RuleID() == id {
-			return s
-		}
-	}
-	return nil
 }
 
 func anyTargeted(rep *core.Report) bool {

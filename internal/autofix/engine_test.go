@@ -3,7 +3,10 @@ package autofix
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hvscan/hvscan/internal/htmlparse"
@@ -159,7 +162,7 @@ func TestRepairRejectsRegressingStrategy(t *testing.T) {
 			}
 			return true
 		})
-		tx.Record("pretended to fix a duplicate attribute", htmlparse.Position{})
+		tx.Record("pretended to fix a duplicate attribute", 0)
 	}}})
 	in := `<!DOCTYPE html><html><head><title>t</title></head><body><div id="a" id="b">x</div></body></html>`
 	r := repair(t, in)
@@ -261,4 +264,49 @@ func TestInstrumentCounts(t *testing.T) {
 	if m.rejected["DM2_3"].Value()+m.rejected["DM2_2"].Value() == 0 {
 		t.Error("rejected fixes from the unfixable page not counted")
 	}
+}
+
+// TestRepairConcurrent repairs the fix corpus from several goroutines at
+// once. Every repair shares the engine's one catalogue checker, so each
+// call must still get what a call alone gets, fix positions included.
+func TestRepairConcurrent(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.fix"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fix corpus missing: %v", err)
+	}
+	var inputs [][]byte
+	for _, path := range files {
+		cases, err := ParseFixFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cases {
+			inputs = append(inputs, []byte(cases[i].Data))
+		}
+	}
+	outcome := func(in []byte) string {
+		r, err := Repair(in)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprintf("%q %v %+v %v", r.Output, r.Outcome(), r.Applied, r.Unfixable)
+	}
+	want := make([]string, len(inputs))
+	for i, in := range inputs {
+		want[i] = outcome(in)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, in := range inputs {
+				if got := outcome(in); got != want[i] {
+					t.Errorf("case %d: concurrent repair %s, alone %s", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -35,9 +35,9 @@ type Tx struct {
 	fixes  []Fix
 }
 
-// Record notes one repair action at pos.
-func (tx *Tx) Record(desc string, pos htmlparse.Position) {
-	tx.fixes = append(tx.fixes, Fix{RuleID: tx.ruleID, Description: desc, Pos: pos})
+// Record notes one repair action at byte offset off of the round's input.
+func (tx *Tx) Record(desc string, off int) {
+	tx.fixes = append(tx.fixes, Fix{RuleID: tx.ruleID, Description: desc, Pos: htmlparse.Position{Offset: off}})
 }
 
 // Head returns the document's head element, or nil.
@@ -94,7 +94,7 @@ func serializeStrategy(id, desc string) Strategy {
 			if f.Evidence != "" {
 				d = desc + " (" + f.Evidence + ")"
 			}
-			tx.Record(d, f.Pos)
+			tx.Record(d, f.Pos.Offset)
 		}
 	}}
 }
@@ -173,7 +173,7 @@ func fixDM1(tx *Tx) {
 		return
 	}
 	var move []*htmlparse.Node
-	inHead := map[htmlparse.Position]bool{}
+	inHead := map[int]bool{}
 	tx.Res.Doc.Walk(func(n *htmlparse.Node) bool {
 		if n.IsElement("meta") {
 			if _, ok := n.LookupAttr("http-equiv"); ok {
@@ -192,8 +192,8 @@ func fixDM1(tx *Tx) {
 		tx.Record("moved meta[http-equiv] into head", n.Pos)
 	}
 	for _, f := range tx.Findings {
-		if inHead[f.Pos] {
-			tx.Record("re-serialized meta[http-equiv] inside head", f.Pos)
+		if inHead[f.Pos.Offset] {
+			tx.Record("re-serialized meta[http-equiv] inside head", f.Pos.Offset)
 		}
 	}
 }
@@ -210,7 +210,7 @@ func fixDM21(tx *Tx) {
 		// head element: serialization materializes the reroute. Findings
 		// on in-body extras are DM2_2's to fix, so only record the
 		// findings whose base actually sits in head now.
-		inHead := map[htmlparse.Position]bool{}
+		inHead := map[int]bool{}
 		tx.Res.Doc.Walk(func(n *htmlparse.Node) bool {
 			if n.IsElement("base") && n.Ancestor("head") != nil {
 				inHead[n.Pos] = true
@@ -218,8 +218,8 @@ func fixDM21(tx *Tx) {
 			return true
 		})
 		for _, f := range tx.Findings {
-			if inHead[f.Pos] {
-				tx.Record("re-serialized base inside head", f.Pos)
+			if inHead[f.Pos.Offset] {
+				tx.Record("re-serialized base inside head", f.Pos.Offset)
 			}
 		}
 		return

@@ -134,8 +134,8 @@ func TruncationStability(input []byte, cut int) error {
 	stable := func(errs []htmlparse.ParseError) []string {
 		var out []string
 		for _, e := range errs {
-			if !e.Code.TreeStage() && e.Pos.Offset < horizon {
-				out = append(out, fmt.Sprintf("%s@%d", e.Code, e.Pos.Offset))
+			if !e.Code.TreeStage() && e.Pos < horizon {
+				out = append(out, fmt.Sprintf("%s@%d", e.Code, e.Pos))
 			}
 		}
 		return out
@@ -279,7 +279,7 @@ func DecoderAgreement(input []byte) error {
 	codes := func(errs []htmlparse.ParseError) []string {
 		out := make([]string, len(errs))
 		for i, e := range errs {
-			out[i] = fmt.Sprintf("%s@%d", e.Code, e.Pos.Offset)
+			out[i] = fmt.Sprintf("%s@%d", e.Code, e.Pos)
 		}
 		return out
 	}

@@ -19,14 +19,10 @@ func TestRawValueIsSource(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		pre, err := htmlparse.Preprocess(input)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
 		for _, tok := range res.Tokens {
 			for _, a := range tok.Attr {
 				attrs++
-				if want := sourceValue(pre.Input, a.Pos.Offset); a.RawValue != want {
+				if want := sourceValue(res.Input, a.Pos); a.RawValue != want {
 					t.Errorf("%s: attribute %q at %v: RawValue %q, source %q", id, a.Name, a.Pos, a.RawValue, want)
 				}
 			}

@@ -224,8 +224,14 @@ func RunTokenizer(c *TokenCase) (outs []json.RawMessage, errs []ExpectedError, e
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, e := range append(append([]htmlparse.ParseError(nil), pre.Errors...), z.Errors()...) {
-		errs = append(errs, ExpectedError{Code: string(e.Code), Line: e.Pos.Line, Col: e.Pos.Col})
+	perrs := append(append([]htmlparse.ParseError(nil), pre.Errors...), z.Errors()...)
+	pos := make([]htmlparse.Position, len(perrs))
+	for i, e := range perrs {
+		pos[i].Offset = e.Pos
+	}
+	htmlparse.ResolvePositions(pre.Input, pos, func(p *htmlparse.Position) *htmlparse.Position { return p })
+	for i, e := range perrs {
+		errs = append(errs, ExpectedError{Code: string(e.Code), Line: pos[i].Line, Col: pos[i].Col})
 	}
 	return outs, errs, nil
 }

@@ -246,10 +246,12 @@ func (ps *pass) parsed(res *htmlparse.Result) {
 }
 
 // report is the single report-assembly path: in catalogue order, each
-// rule contributes what its hooks emitted. It fills RuleHits, attaches
-// the signals, and records the instrumented counters, so the entry points
-// cannot drift in how a Report is put together.
-func (ps *pass) report(url string) *Report {
+// rule contributes what its hooks emitted. It resolves the findings'
+// lines and columns against the parse's input, in one walk per page,
+// fills RuleHits, attaches the signals, and records the instrumented
+// counters, so the entry points cannot drift in how a Report is put
+// together.
+func (ps *pass) report(res *htmlparse.Result, url string) *Report {
 	c := ps.c
 	rep := &Report{URL: url, RuleHits: make(map[string]int, len(c.rules))}
 	for i, rule := range c.rules {
@@ -258,6 +260,7 @@ func (ps *pass) report(url string) *Report {
 			rep.Findings = append(rep.Findings, fs...)
 		}
 	}
+	htmlparse.ResolvePositions(res.Input, rep.Findings, func(f *Finding) *htmlparse.Position { return &f.Pos })
 	rep.Signals = ps.sig
 	c.countHits(rep)
 	return rep
@@ -298,7 +301,7 @@ func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int, 
 // builds the report.
 func (ps *pass) finish(res *htmlparse.Result) *Report {
 	ps.parsed(res)
-	return ps.report("")
+	return ps.report(res, "")
 }
 
 // CheckParsed runs the rules over an already parsed page. The token hooks
@@ -312,7 +315,7 @@ func (c *Checker) CheckParsed(p *Page) *Report {
 		ps.tag(&p.Tokens[i])
 	}
 	ps.parsed(p.Result)
-	return ps.report(p.URL)
+	return ps.report(p.Result, p.URL)
 }
 
 // CheckStreamContext is CheckContext with no depth cap.

@@ -86,7 +86,9 @@ type RuleStream struct {
 
 // Finding is one observed violation instance.
 type Finding struct {
-	RuleID   string
+	RuleID string
+	// Pos is where the finding is. A rule sets only the Offset; the
+	// report resolves Line and Col.
 	Pos      htmlparse.Position
 	Evidence string
 }
@@ -184,7 +186,7 @@ func tokenStream(hook func(*htmlparse.Token, func(Finding))) func() RuleStream {
 func errorStream(id string, code htmlparse.ErrorCode) func() RuleStream {
 	hook := func(e htmlparse.ParseError, emit func(Finding)) {
 		if e.Code == code {
-			emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
+			emit(Finding{RuleID: id, Pos: htmlparse.Position{Offset: e.Pos}, Evidence: e.Detail})
 		}
 	}
 	return func() RuleStream { return RuleStream{Error: hook} }
@@ -195,7 +197,7 @@ func errorStream(id string, code htmlparse.ErrorCode) func() RuleStream {
 func eventStream(id string, match func(*htmlparse.TreeEvent) bool, kinds ...htmlparse.EventKind) func() RuleStream {
 	hook := func(e *htmlparse.TreeEvent, emit func(Finding)) {
 		if slices.Contains(kinds, e.Kind) && (match == nil || match(e)) {
-			emit(Finding{RuleID: id, Pos: e.Pos, Evidence: e.Detail})
+			emit(Finding{RuleID: id, Pos: htmlparse.Position{Offset: e.Pos}, Evidence: e.Detail})
 		}
 	}
 	return func() RuleStream { return RuleStream{Event: hook} }

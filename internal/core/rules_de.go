@@ -78,7 +78,7 @@ func de31Token(t *htmlparse.Token, emit func(Finding)) {
 		}
 		if strings.ContainsRune(a.RawValue, '\n') && strings.ContainsRune(a.RawValue, '<') {
 			emit(Finding{
-				RuleID: "DE3_1", Pos: a.Pos,
+				RuleID: "DE3_1", Pos: htmlparse.Position{Offset: a.Pos},
 				Evidence: "<" + t.Data + " " + a.Name + "=" + truncate(a.RawValue, 80),
 			})
 		}
@@ -103,7 +103,7 @@ func de32Token(t *htmlparse.Token, emit func(Finding)) {
 	for _, a := range t.Attr {
 		if strings.Contains(strings.ToLower(a.RawValue), "<script") {
 			emit(Finding{
-				RuleID: "DE3_2", Pos: a.Pos,
+				RuleID: "DE3_2", Pos: htmlparse.Position{Offset: a.Pos},
 				Evidence: "<" + t.Data + " " + a.Name + "=" + truncate(a.RawValue, 80),
 			})
 		}
@@ -128,7 +128,7 @@ func de33Token(t *htmlparse.Token, emit func(Finding)) {
 	for _, a := range t.Attr {
 		if a.Name == "target" && strings.ContainsRune(a.RawValue, '\n') {
 			emit(Finding{
-				RuleID: "DE3_3", Pos: a.Pos,
+				RuleID: "DE3_3", Pos: htmlparse.Position{Offset: a.Pos},
 				Evidence: "<" + t.Data + " target=" + truncate(a.RawValue, 80),
 			})
 		}

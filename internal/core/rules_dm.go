@@ -59,7 +59,7 @@ var ruleDM2_2 = Rule{
 				return
 			}
 			if bases++; bases > 1 {
-				emit(Finding{RuleID: "DM2_2", Pos: n.Pos, Evidence: "base"})
+				emit(Finding{RuleID: "DM2_2", Pos: htmlparse.Position{Offset: n.Pos}, Evidence: "base"})
 			}
 		}}
 	},
@@ -80,7 +80,7 @@ var ruleDM2_3 = Rule{
 		return RuleStream{Element: func(n *htmlparse.Node, emit func(Finding)) {
 			if n.IsElement("base") {
 				if urlSeen {
-					emit(Finding{RuleID: "DM2_3", Pos: n.Pos, Evidence: "base"})
+					emit(Finding{RuleID: "DM2_3", Pos: htmlparse.Position{Offset: n.Pos}, Evidence: "base"})
 				}
 				return
 			}

@@ -83,29 +83,19 @@ const (
 	ErrAdoptionAgencyMisnesting     ErrorCode = "adoption-agency-misnesting"
 )
 
-// Position is a byte offset plus human-readable line/column (1-based) into
-// the preprocessed input stream.
-type Position struct {
-	Offset int
-	Line   int
-	Col    int
-}
-
-func (p Position) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
 // ParseError records one specification violation observed while parsing.
 // The parser never aborts on a parse error; consistent with the error
 // tolerance the paper studies, it records the error and repairs the input.
 type ParseError struct {
 	Code ErrorCode
-	Pos  Position
+	Pos  int // byte offset in the preprocessed input
 	// Detail optionally carries evidence, e.g. the offending attribute name.
 	Detail string
 }
 
 func (e ParseError) Error() string {
 	if e.Detail != "" {
-		return fmt.Sprintf("%s: %s (%s)", e.Pos, e.Code, e.Detail)
+		return fmt.Sprintf("@%d: %s (%s)", e.Pos, e.Code, e.Detail)
 	}
-	return fmt.Sprintf("%s: %s", e.Pos, e.Code)
+	return fmt.Sprintf("@%d: %s", e.Pos, e.Code)
 }

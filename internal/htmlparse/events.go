@@ -100,7 +100,7 @@ type TreeEvent struct {
 	Detail    string    // tag name or other evidence
 	Namespace Namespace // for the foreign-content events
 	Allowed   bool      // for EventAutoClosedAtEOF: spec permits it silently
-	Pos       Position
+	Pos       int       // byte offset in the preprocessed input
 	// Attr carries the token's attributes for the metadata events
 	// (meta-in-body, base-in-body, metadata-after-head), so rules can
 	// inspect http-equiv and friends without re-locating the node.
@@ -109,7 +109,7 @@ type TreeEvent struct {
 
 func (e TreeEvent) String() string {
 	if e.Detail != "" {
-		return fmt.Sprintf("%s: %s (%s)", e.Pos, e.Kind, e.Detail)
+		return fmt.Sprintf("@%d: %s (%s)", e.Pos, e.Kind, e.Detail)
 	}
-	return fmt.Sprintf("%s: %s", e.Pos, e.Kind)
+	return fmt.Sprintf("@%d: %s", e.Pos, e.Kind)
 }

@@ -12,20 +12,23 @@ import (
 // length; the ignored end tags split one text node's content into as
 // many tokens, which the tree builder merges. A builder that copies per
 // append, or a scan that rereads the rest of the input per chunk, turns
-// quadratic.
+// quadratic. maxAlloc bounds the bytes a check of the shape at 1 MiB
+// allocates (TestHostileShapesAllocationBudget).
 type hostileShape struct {
 	name, prefix, unit, suffix string
+	maxAlloc                   uint64
 }
 
 var hostileShapes = []hostileShape{
-	{"comment dashes", "<!--", "a-", "-->"},
-	{"comment less-thans", "<!--", "<", "-->"},
-	{"textarea end tag name", "<textarea></", "A", ""},
-	{"doctype public ID of NULs", `<!DOCTYPE html PUBLIC "`, "\x00", `">`},
-	{"attribute of references", `<a href="`, "&amp;", `">`},
-	{"text of references", "", "&amp;", ""},
-	{"plain comment", "<!--", "a", "-->"},
-	{"text between ignored end tags", "", "a</x>", ""},
+	{"comment dashes", "<!--", "a-", "-->", 1_380_000},
+	{"comment less-thans", "<!--", "<", "-->", 1_380_000},
+	{"textarea end tag name", "<textarea></", "A", "", 7_950_000},
+	{"doctype public ID of NULs", `<!DOCTYPE html PUBLIC "`, "\x00", `">`, 348_000_000},
+	{"text of NULs", "", "\x00", "", 389_000_000},
+	{"attribute of references", `<a href="`, "&amp;", `">`, 2_780_000},
+	{"text of references", "", "&amp;", "", 2_780_000},
+	{"plain comment", "<!--", "a", "-->", 1_380_000},
+	{"text between ignored end tags", "", "a</x>", "", 170_000_000},
 }
 
 // input returns the shape with its unit repeated to about size bytes.
@@ -65,3 +68,25 @@ func TestHostileShapesParseInLinearTime(t *testing.T) {
 		})
 	}
 }
+
+// HostileCase is one hostile shape at 1 MiB with its allocation bound.
+// The budget checks through core, which imports this package, so it runs
+// in package htmlparse_test.
+type HostileCase struct {
+	Name     string
+	Input    []byte
+	MaxAlloc uint64
+}
+
+// HostileCases returns every hostile shape at 1 MiB.
+func HostileCases() []HostileCase {
+	out := make([]HostileCase, len(hostileShapes))
+	for i, s := range hostileShapes {
+		out[i] = HostileCase{s.name, []byte(s.input(1 << 20)), s.maxAlloc}
+	}
+	return out
+}
+
+// RaceEnabled reports a race-instrumented test binary to package
+// htmlparse_test.
+const RaceEnabled = raceEnabled

@@ -124,7 +124,7 @@ func (tb *treeBuilder) handle(mode insertionMode, t *Token) bool {
 
 // stopParsing records which elements were still open at end-of-file (the
 // DE1/DE2 evidence) and halts the parse.
-func (tb *treeBuilder) stopParsing(pos Position) {
+func (tb *treeBuilder) stopParsing(pos int) {
 	for _, n := range tb.stack {
 		if n.Type != ElementNode || n.Implied {
 			continue
@@ -1164,7 +1164,7 @@ func (tb *treeBuilder) inCaptionIM(t *Token) bool {
 	return tb.inBodyIM(t)
 }
 
-func (tb *treeBuilder) closeCaption(pos Position) bool {
+func (tb *treeBuilder) closeCaption(pos int) bool {
 	if !tb.elementInTableScope("caption") {
 		tb.parseError(ErrUnexpectedEndTag, "caption", pos)
 		return false
@@ -1338,7 +1338,7 @@ func (tb *treeBuilder) inRowIM(t *Token) bool {
 	return tb.inTableIM(t)
 }
 
-func (tb *treeBuilder) endRow(pos Position) bool {
+func (tb *treeBuilder) endRow(pos int) bool {
 	if !tb.elementInTableScope("tr") {
 		tb.parseError(ErrUnexpectedEndTag, "tr", pos)
 		return false
@@ -1394,7 +1394,7 @@ func (tb *treeBuilder) inCellIM(t *Token) bool {
 	return tb.inBodyIM(t)
 }
 
-func (tb *treeBuilder) closeCell(pos Position) {
+func (tb *treeBuilder) closeCell(pos int) {
 	tb.generateImpliedEndTags("")
 	cur := tb.currentNode()
 	if cur != nil && !cur.IsElement("td") && !cur.IsElement("th") {

@@ -57,8 +57,9 @@ type Node struct {
 
 	Parent, FirstChild, LastChild, PrevSibling, NextSibling *Node
 
-	// Pos is where the token that created this node started.
-	Pos Position
+	// Pos is the byte offset in the preprocessed input where the token
+	// that created this node started.
+	Pos int
 
 	// AutoClosedAtEOF marks an element that was still on the stack of open
 	// elements when the input ended; the parser closed it implicitly. The

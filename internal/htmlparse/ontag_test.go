@@ -11,7 +11,7 @@ import (
 // tagTrace renders tag tokens for comparison, attribute names included:
 // the hook must see the tokenizer's names, as the recorded trace does.
 func tagTrace(t *Token) string {
-	s := fmt.Sprintf("%v %s %v @%d:", t.Type, t.Data, t.SelfClosing, t.Pos.Offset)
+	s := fmt.Sprintf("%v %s %v @%d:", t.Type, t.Data, t.SelfClosing, t.Pos)
 	for _, a := range t.Attr {
 		s += fmt.Sprintf(" %s=%q/%q dup=%v", a.Name, a.Value, a.RawValue, a.Duplicate)
 	}

@@ -28,8 +28,10 @@ type Options struct {
 	// tag, so the hook sees the tokenizer's attribute names and tags the
 	// tree builder later drops (a nested form) alike. The token and its
 	// attribute array are only valid for the duration of the call and
-	// must not be modified. A hook that panics aborts the parse; the
-	// pooled parser it ran in is discarded, never recycled.
+	// must not be modified. Their Pos fields are byte offsets: a hook
+	// that keeps one resolves it against Result.Input once the parse is
+	// done. A hook that panics aborts the parse; the pooled parser it ran
+	// in is discarded, never recycled.
 	OnTag func(*Token)
 	// MaxTreeDepth, when positive, aborts the parse with
 	// ErrTreeDepthExceeded once the open-element stack exceeds it.
@@ -48,6 +50,11 @@ type Result struct {
 	Errors []ParseError
 	Events []TreeEvent
 	Tokens []Token
+	// Input is the preprocessed input. Every Pos in the Result is a byte
+	// offset into it, and ResolvePositions turns those offsets into lines
+	// and columns. Under ParseScoped it is valid only inside the
+	// callback, like Doc.
+	Input []byte
 	// Quirks reports full quirks mode; Mode carries the three-way
 	// classification (no-quirks / limited-quirks / quirks).
 	Quirks bool
@@ -62,17 +69,6 @@ func (r *Result) HasError(code ErrorCode) bool {
 		}
 	}
 	return false
-}
-
-// ErrorsByCode returns all parse errors with the given code.
-func (r *Result) ErrorsByCode(code ErrorCode) []ParseError {
-	var out []ParseError
-	for i := range r.Errors {
-		if r.Errors[i].Code == code {
-			out = append(out, r.Errors[i])
-		}
-	}
-	return out
 }
 
 // EventsByKind returns all tree events of the given kind.
@@ -143,12 +139,12 @@ func (tb *treeBuilder) setupFragment(context string) (root *Node) {
 }
 
 func assemble(pre *Preprocessed, z *Tokenizer, tb *treeBuilder, doc *Node) *Result {
-	res := &Result{Doc: doc, Events: tb.events, Tokens: tb.tokens, Quirks: tb.quirks, Mode: tb.quirksMode}
+	res := &Result{Doc: doc, Events: tb.events, Tokens: tb.tokens, Input: pre.Input, Quirks: tb.quirks, Mode: tb.quirksMode}
 	res.Errors = append(res.Errors, pre.Errors...)
 	res.Errors = append(res.Errors, z.Errors()...)
 	res.Errors = append(res.Errors, tb.errors...)
 	sort.SliceStable(res.Errors, func(i, j int) bool {
-		return res.Errors[i].Pos.Offset < res.Errors[j].Pos.Offset
+		return res.Errors[i].Pos < res.Errors[j].Pos
 	})
 	if m := metrics.Load(); m != nil {
 		m.arenaSlabs.Add(uint64(tb.arena.slabs))

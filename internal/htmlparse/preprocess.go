@@ -37,7 +37,6 @@ func Preprocess(b []byte) (*Preprocessed, error) {
 		return nil, ErrNotUTF8
 	}
 	p := &Preprocessed{Input: make([]byte, 0, len(b))}
-	line, col := 1, 1
 	for i := 0; i < len(b); {
 		// Bulk-copy runs of plain ASCII (no normalization, no stream error,
 		// no line break) in one append; the rune-at-a-time path below only
@@ -46,7 +45,6 @@ func Preprocess(b []byte) (*Preprocessed, error) {
 			for j++; j < len(b) && preSafe[b[j]]; j++ {
 			}
 			p.Input = append(p.Input, b[i:j]...)
-			col += j - i
 			i = j
 			continue
 		}
@@ -59,35 +57,21 @@ func Preprocess(b []byte) (*Preprocessed, error) {
 			}
 			p.Input = append(p.Input, '\n')
 			i++
-			line++
-			col = 1
 			continue
 		case isNoncharacter(r):
-			p.Errors = append(p.Errors, ParseError{
-				Code: ErrNoncharacterInInputStream,
-				Pos:  Position{Offset: len(p.Input), Line: line, Col: col},
-			})
+			p.Errors = append(p.Errors, ParseError{Code: ErrNoncharacterInInputStream, Pos: len(p.Input)})
 		case isBadControl(r):
-			p.Errors = append(p.Errors, ParseError{
-				Code: ErrControlCharacterInInputStream,
-				Pos:  Position{Offset: len(p.Input), Line: line, Col: col},
-			})
+			p.Errors = append(p.Errors, ParseError{Code: ErrControlCharacterInInputStream, Pos: len(p.Input)})
 		}
 		p.Input = append(p.Input, b[i:i+size]...)
-		if r == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
 		i += size
 	}
 	return p, nil
 }
 
-// preSafe marks the bytes Preprocess may copy verbatim without position
-// or error bookkeeping: printable ASCII plus TAB, FF and NUL (NUL passes
-// through here — the tokenizer flags it per-state).
+// preSafe marks the bytes Preprocess may copy verbatim without
+// normalization or error checks: printable ASCII plus TAB, FF and NUL (NUL
+// passes through here — the tokenizer flags it per-state).
 var preSafe = makePreSafeTable()
 
 func makePreSafeTable() *[256]bool {

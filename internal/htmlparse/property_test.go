@@ -184,7 +184,7 @@ func TestPropertyErrorsSorted(t *testing.T) {
 			return true
 		}
 		for i := 1; i < len(res.Errors); i++ {
-			if res.Errors[i].Pos.Offset < res.Errors[i-1].Pos.Offset {
+			if res.Errors[i].Pos < res.Errors[i-1].Pos {
 				return false
 			}
 		}

@@ -52,7 +52,6 @@ func getParser() *Parser {
 func (p *Parser) reset(input []byte, opts Options) {
 	z := &p.z
 	z.input = input
-	z.line, z.col = 1, 1
 	z.state = stateData
 	tb := &p.tb
 	tb.z = z
@@ -153,11 +152,11 @@ func ParseReuse(b []byte) (*Result, error) {
 // parse: it calls f with the Result, which is valid only inside f. When f
 // returns, the parser clears the tree's nodes and keeps their slabs for
 // its next parse, so f must not retain Doc or any Node, nor let one
-// escape. Everything else in the Result — errors, events, tokens and the
-// strings they carry — is the caller's to keep. f is not called when the
-// parse fails or aborts. A panic in f or in an OnTag hook propagates, and
-// the parser is dropped, not recycled. A nil ctx is never canceled and
-// caps no depth, as in ParseReuse.
+// escape, and resolves any positions it prints against Input inside f.
+// Errors, events, tokens and the strings they carry are the caller's to
+// keep. f is not called when the parse fails or aborts. A panic in f or
+// in an OnTag hook propagates, and the parser is dropped, not recycled.
+// A nil ctx is never canceled and caps no depth, as in ParseReuse.
 func ParseScoped(ctx context.Context, b []byte, opts Options, f func(*Result)) error {
 	pre, err := Preprocess(b)
 	if err != nil {

@@ -30,7 +30,7 @@ func resultFingerprint(t *testing.T, r *Result) string {
 	s := DumpTree(r.Doc)
 	s += fmt.Sprintf("|quirks=%v|mode=%v|tokens=%d|events=%d", r.Quirks, r.Mode, len(r.Tokens), len(r.Events))
 	for _, e := range r.Errors {
-		s += fmt.Sprintf("|%s@%d:%d", e.Code, e.Pos.Line, e.Pos.Col)
+		s += fmt.Sprintf("|%s@%d", e.Code, e.Pos)
 	}
 	for _, ev := range r.Events {
 		s += fmt.Sprintf("|%d:%s", ev.Kind, ev.Detail)

@@ -55,7 +55,8 @@ type Attribute struct {
 	// per the spec it is dropped from the element, with a
 	// duplicate-attribute parse error.
 	Duplicate bool
-	Pos       Position
+	// Pos is the attribute's byte offset in the preprocessed input.
+	Pos int
 }
 
 // Token is one output of the tokenization stage.
@@ -72,7 +73,8 @@ type Token struct {
 	PublicID    string
 	SystemID    string
 	ForceQuirks bool
-	Pos         Position
+	// Pos is the token's byte offset in the preprocessed input.
+	Pos int
 }
 
 // LookupAttr returns the value of the first non-duplicate attribute with

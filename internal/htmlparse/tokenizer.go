@@ -109,11 +109,9 @@ const eofRune = rune(-1)
 type Tokenizer struct {
 	input []byte
 	pos   int
-	line  int
-	col   int
 
 	// one-step back support for the spec's "reconsume" instruction
-	prevPos, prevLine, prevCol int
+	prevPos int
 
 	state state
 
@@ -142,13 +140,13 @@ type Tokenizer struct {
 	// emitted), comment or doctype field; name and value belong to the
 	// current attribute.
 	text, data, name, value strAcc
-	textPos                 Position
+	textPos                 int
 
 	cur Token
 
 	attrPending bool
 	attrQuote   byte
-	attrPos     Position
+	attrPos     int
 	// valStart is the offset of the current attribute value's first byte,
 	// or -1 while the attribute has no value.
 	valStart int
@@ -246,7 +244,7 @@ func (a *strAcc) reset() { *a = strAcc{buf: a.buf[:0]} }
 // NewTokenizer returns a tokenizer over a preprocessed input stream (see
 // Preprocess). Standalone use gets automatic raw-text switching.
 func NewTokenizer(input []byte) *Tokenizer {
-	return &Tokenizer{input: input, line: 1, col: 1, state: stateData, AutoRaw: true}
+	return &Tokenizer{input: input, state: stateData, AutoRaw: true}
 }
 
 // Errors returns the parse errors recorded so far, in input order.
@@ -262,30 +260,14 @@ func (z *Tokenizer) StartRawText(tag string) {
 	}
 }
 
-// position reports the tokenizer's current position.
-func (z *Tokenizer) position() Position {
-	return Position{Offset: z.pos, Line: z.line, Col: z.col}
-}
-
-// prevPosition reports the position of the character consumed last.
-func (z *Tokenizer) prevPosition() Position {
-	return Position{Offset: z.prevPos, Line: z.prevLine, Col: z.prevCol}
-}
-
 //hv:hotpath per-character cursor advance, one call per input rune
 func (z *Tokenizer) next() rune {
-	z.prevPos, z.prevLine, z.prevCol = z.pos, z.line, z.col
+	z.prevPos = z.pos
 	if z.pos >= len(z.input) {
 		return eofRune
 	}
 	r, size := utf8.DecodeRune(z.input[z.pos:])
 	z.pos += size
-	if r == '\n' {
-		z.line++
-		z.col = 1
-	} else {
-		z.col++
-	}
 	return r
 }
 
@@ -293,7 +275,7 @@ func (z *Tokenizer) next() rune {
 //
 //hv:hotpath reconsume companion to next
 func (z *Tokenizer) back() {
-	z.pos, z.line, z.col = z.prevPos, z.prevLine, z.prevCol
+	z.pos = z.prevPos
 }
 
 //hv:hotpath lookahead companion to next
@@ -306,24 +288,6 @@ func (z *Tokenizer) peek() rune {
 }
 
 // ---- bulk scanning (the memchr-style hot path) ----
-
-var nlSlice = []byte{'\n'}
-
-// advance moves the cursor past chunk (which must start at z.pos),
-// updating line/col bookkeeping in bulk: one newline count and one rune
-// count per chunk instead of per-character work. It does not touch the
-// one-step reconsume state; callers never back() across a chunk.
-//
-//hv:hotpath bulk cursor bookkeeping behind every chunk scan
-func (z *Tokenizer) advance(chunk []byte) {
-	if nl := bytes.Count(chunk, nlSlice); nl > 0 {
-		z.line += nl
-		z.col = 1 + utf8.RuneCount(chunk[bytes.LastIndexByte(chunk, '\n')+1:])
-	} else {
-		z.col += utf8.RuneCount(chunk)
-	}
-	z.pos += len(chunk)
-}
 
 // scanWindow is the first window scanUntil searches. Each further window
 // doubles, so a call reads at most twice as far as its nearest stop byte
@@ -364,9 +328,7 @@ func (z *Tokenizer) scanUntil(stop1, stop2 byte) {
 			break
 		}
 	}
-	if n > 0 {
-		z.advance(s[:n])
-	}
+	z.pos += n
 }
 
 // scanTable consumes the maximal run of bytes b with safe[b] set. Tables
@@ -381,9 +343,7 @@ func (z *Tokenizer) scanTable(safe *[256]bool) {
 	for i < len(s) && safe[s[i]] {
 		i++
 	}
-	if i > z.pos {
-		z.advance(s[z.pos:i])
-	}
+	z.pos = i
 }
 
 // tagNameSafe marks bytes a tag name carries verbatim: everything except
@@ -419,7 +379,7 @@ func makeSafeTable(unsafeBytes string, foldUpper bool) *[256]bool {
 }
 
 func (z *Tokenizer) parseError(code ErrorCode, detail string) {
-	z.errors = append(z.errors, ParseError{Code: code, Pos: z.position(), Detail: detail})
+	z.errors = append(z.errors, ParseError{Code: code, Pos: z.pos, Detail: detail})
 }
 
 // ---- the pending character run ----
@@ -433,7 +393,7 @@ func (z *Tokenizer) parseError(code ErrorCode, detail string) {
 //hv:hotpath run-start bookkeeping for every text append
 func (z *Tokenizer) beginText() {
 	if z.text.empty() {
-		z.textPos = z.prevPosition()
+		z.textPos = z.prevPos
 	}
 }
 
@@ -462,15 +422,15 @@ func (z *Tokenizer) addTextRune(r rune) {
 //
 //hv:hotpath chunked text accumulation, zero-copy fast path
 func (z *Tokenizer) scanText(stop1, stop2 byte) {
-	start := z.position()
+	start := z.pos
 	z.scanUntil(stop1, stop2)
-	if z.pos == start.Offset {
+	if z.pos == start {
 		return
 	}
 	if z.text.empty() {
 		z.textPos = start
 	}
-	z.text.add(z.input, start.Offset, z.pos)
+	z.text.add(z.input, start, z.pos)
 }
 
 // textCharRef decodes a character reference into the pending run.
@@ -478,7 +438,7 @@ func (z *Tokenizer) textCharRef() {
 	fresh := z.text.empty()
 	z.consumeCharRef(&z.text, false)
 	if fresh {
-		z.textPos = z.prevPosition()
+		z.textPos = z.prevPos
 	}
 }
 
@@ -504,7 +464,7 @@ func (z *Tokenizer) emit(t *Token) {
 
 func (z *Tokenizer) emitEOF() {
 	z.flushText()
-	z.queue = append(z.queue, Token{Type: EOFToken, Pos: z.position()})
+	z.queue = append(z.queue, Token{Type: EOFToken, Pos: z.pos})
 	z.emittedEOF = true
 }
 
@@ -520,7 +480,7 @@ func (z *Tokenizer) nextToken() *Token {
 		z.queue = z.queue[:0]
 		z.qhead = 0
 		if z.emittedEOF {
-			z.queue = append(z.queue, Token{Type: EOFToken, Pos: z.position()})
+			z.queue = append(z.queue, Token{Type: EOFToken, Pos: z.pos})
 			break
 		}
 		z.step()
@@ -533,7 +493,7 @@ func (z *Tokenizer) nextToken() *Token {
 // ---- current tag/comment/doctype helpers ----
 
 func (z *Tokenizer) newTag(tt TokenType) {
-	z.cur = Token{Type: tt, Pos: z.position()}
+	z.cur = Token{Type: tt, Pos: z.pos}
 }
 
 // addChar adds the character just consumed to a.
@@ -557,7 +517,7 @@ func (z *Tokenizer) emitComment() {
 
 func (z *Tokenizer) startNewAttr() {
 	z.attrQuote = 0
-	z.attrPos = z.position()
+	z.attrPos = z.pos
 	z.valStart = -1
 	z.attrPending = true
 }
@@ -681,20 +641,15 @@ func isASCIIAlnumByte(b byte) bool {
 	return ('a' <= b && b <= 'z') || ('A' <= b && b <= 'Z') || ('0' <= b && b <= '9')
 }
 
-// advanceTo moves the cursor to absolute offset off (a rune boundary),
-// updating line/col in bulk. The reconsume snapshot lands on the last rune
-// of the chunk, exactly as a next() loop would leave it.
+// advanceTo moves the cursor to absolute offset off (a rune boundary).
+// The reconsume snapshot lands on the last rune before off, exactly as a
+// next() loop would leave it.
 func (z *Tokenizer) advanceTo(off int) {
 	if off <= z.pos {
 		return
 	}
-	chunk := z.input[z.pos:off]
-	_, last := utf8.DecodeLastRune(chunk)
-	if pre := chunk[:len(chunk)-last]; len(pre) > 0 {
-		z.advance(pre)
-	}
-	z.prevPos, z.prevLine, z.prevCol = z.pos, z.line, z.col
-	z.advance(chunk[len(chunk)-last:])
+	_, last := utf8.DecodeLastRune(z.input[z.pos:off])
+	z.prevPos, z.pos = off-last, off
 }
 
 func (z *Tokenizer) consumeNumericCharRef(a *strAcc, amp int) {
@@ -1025,7 +980,7 @@ func (z *Tokenizer) tagOpenState() {
 		z.state = stateTagName
 	case r == '?':
 		z.parseError(ErrUnexpectedQuestionMarkInsteadOfTag, "")
-		z.cur = Token{Type: CommentToken, Pos: z.position()}
+		z.cur = Token{Type: CommentToken, Pos: z.pos}
 		z.back()
 		z.state = stateBogusComment
 	case r == eofRune:
@@ -1055,7 +1010,7 @@ func (z *Tokenizer) endTagOpenState() {
 		z.emitEOF()
 	default:
 		z.parseError(ErrInvalidFirstCharacterOfTagName, string(r))
-		z.cur = Token{Type: CommentToken, Pos: z.position()}
+		z.cur = Token{Type: CommentToken, Pos: z.pos}
 		z.back()
 		z.state = stateBogusComment
 	}
@@ -1609,7 +1564,7 @@ func (z *Tokenizer) markupDeclarationOpenState() {
 	switch {
 	case len(rest) >= 2 && rest[0] == '-' && rest[1] == '-':
 		z.advanceTo(z.pos + 2)
-		z.cur = Token{Type: CommentToken, Pos: z.position()}
+		z.cur = Token{Type: CommentToken, Pos: z.pos}
 		z.state = stateCommentStart
 	case len(rest) >= 7 && strings.EqualFold(string(rest[:7]), "doctype"):
 		z.advanceTo(z.pos + 7)
@@ -1624,13 +1579,13 @@ func (z *Tokenizer) markupDeclarationOpenState() {
 			z.state = stateCDATASection
 		} else {
 			z.parseError(ErrCDATAInHTMLContent, "")
-			z.cur = Token{Type: CommentToken, Pos: z.position()}
+			z.cur = Token{Type: CommentToken, Pos: z.pos}
 			z.data.add(z.input, z.pos-len("[CDATA["), z.pos)
 			z.state = stateBogusComment
 		}
 	default:
 		z.parseError(ErrIncorrectlyOpenedComment, "")
-		z.cur = Token{Type: CommentToken, Pos: z.position()}
+		z.cur = Token{Type: CommentToken, Pos: z.pos}
 		z.state = stateBogusComment
 	}
 }
@@ -1801,7 +1756,7 @@ func (z *Tokenizer) doctypeState() {
 		z.state = stateBeforeDoctypeName
 	case r == eofRune:
 		z.parseError(ErrEOFInDoctype, "")
-		z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
+		z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.pos})
 		z.emitEOF()
 	default:
 		z.parseError(ErrMissingWhitespaceBeforeDoctypeName, "")
@@ -1819,21 +1774,21 @@ func (z *Tokenizer) beforeDoctypeNameState() {
 		case r == '>':
 			z.parseError(ErrMissingDoctypeName, "")
 			z.state = stateData
-			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
+			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.pos})
 			return
 		case r == eofRune:
 			z.parseError(ErrEOFInDoctype, "")
-			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.position()})
+			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.pos})
 			z.emitEOF()
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.cur = Token{Type: DoctypeToken, Pos: z.position()}
+			z.cur = Token{Type: DoctypeToken, Pos: z.pos}
 			z.data.addRune(z.input, '�')
 			z.state = stateDoctypeName
 			return
 		default:
-			z.cur = Token{Type: DoctypeToken, Pos: z.position()}
+			z.cur = Token{Type: DoctypeToken, Pos: z.pos}
 			z.addLower(&z.data, r)
 			z.state = stateDoctypeName
 			return

@@ -280,20 +280,22 @@ func TestTokenizeCDATAOutsideForeign(t *testing.T) {
 }
 
 func TestTokenizePositions(t *testing.T) {
-	tokens, _ := tokenize(t, "line1\n<div>\n  <span a=1>")
-	if tokens[0].Type != CharacterToken || tokens[0].Pos.Line != 1 || tokens[0].Pos.Col != 1 {
-		t.Fatalf("text pos = %+v", tokens[0].Pos)
+	const input = "line1\n<div>\n  <span a=1>"
+	tokens, _ := tokenize(t, input)
+	ps := []Position{{Offset: tokens[3].Attr[0].Pos}, {Offset: tokens[3].Pos}, {Offset: tokens[1].Pos}, {Offset: tokens[0].Pos}}
+	ResolvePositions([]byte(input), ps, func(p *Position) *Position { return p })
+	attr, span, div, text := ps[0], ps[1], ps[2], ps[3]
+	if tokens[0].Type != CharacterToken || text.Line != 1 || text.Col != 1 {
+		t.Fatalf("text pos = %+v", text)
 	}
-	div := tokens[1]
-	if div.Pos.Line != 2 {
-		t.Fatalf("div pos = %+v", div.Pos)
+	if div.Line != 2 {
+		t.Fatalf("div pos = %+v", div)
 	}
-	span := tokens[3]
-	if span.Pos.Line != 3 {
-		t.Fatalf("span pos = %+v", span.Pos)
+	if span.Line != 3 {
+		t.Fatalf("span pos = %+v", span)
 	}
-	if span.Attr[0].Pos.Line != 3 || span.Attr[0].Pos.Col < 9 {
-		t.Fatalf("attr pos = %+v", span.Attr[0].Pos)
+	if attr.Line != 3 || attr.Col < 9 {
+		t.Fatalf("attr pos = %+v", attr)
 	}
 }
 

@@ -8,7 +8,6 @@ package htmlparse
 
 import (
 	"bytes"
-	"unicode/utf8"
 )
 
 type insertionMode int
@@ -74,7 +73,7 @@ type treeBuilder struct {
 	stopped          bool
 
 	pendingTableText []Token
-	tableTextPos     Position
+	tableTextPos     int
 
 	// runNode is the text node that the last merge of adjacent text went
 	// into; its Data is a view of runBuf (see mergeText).
@@ -139,12 +138,12 @@ func newTreeBuilder(z *Tokenizer) *treeBuilder {
 // insertions and self-closing foreign elements.
 func (tb *treeBuilder) ackSelfClosing() { tb.selfClosingAcked = true }
 
-func (tb *treeBuilder) parseError(code ErrorCode, detail string, pos Position) {
+func (tb *treeBuilder) parseError(code ErrorCode, detail string, pos int) {
 	tb.errors = append(tb.errors, ParseError{Code: code, Pos: pos, Detail: detail})
 }
 
 // nulPos locates the first literal NUL byte at or after the text token's
-// start and returns its position, for the tree-stage
+// start and returns its offset, for the tree-stage
 // unexpected-null-character error. The token's own Pos is the start of
 // the whole text run, which can lie arbitrarily far before the NUL;
 // reporting the error there made its offset depend on how much text
@@ -153,33 +152,25 @@ func (tb *treeBuilder) parseError(code ErrorCode, detail string, pos Position) {
 // horizon just because the run started early). A NUL in token data is
 // always a literal NUL byte in the input: the null character reference
 // decodes to U+FFFD, never to NUL.
-func (tb *treeBuilder) nulPos(t *Token) Position {
+func (tb *treeBuilder) nulPos(t *Token) int {
 	in := tb.z.input
-	if t.Pos.Offset < 0 || t.Pos.Offset >= len(in) {
+	if t.Pos < 0 || t.Pos >= len(in) {
 		return t.Pos
 	}
-	i := bytes.IndexByte(in[t.Pos.Offset:], 0)
+	i := bytes.IndexByte(in[t.Pos:], 0)
 	if i < 0 {
 		return t.Pos
 	}
-	seg := in[t.Pos.Offset : t.Pos.Offset+i]
-	pos := Position{Offset: t.Pos.Offset + i, Line: t.Pos.Line, Col: t.Pos.Col}
-	if nl := bytes.Count(seg, nlSlice); nl > 0 {
-		pos.Line += nl
-		pos.Col = 1 + utf8.RuneCount(seg[bytes.LastIndexByte(seg, '\n')+1:])
-	} else {
-		pos.Col += utf8.RuneCount(seg)
-	}
-	return pos
+	return t.Pos + i
 }
 
-func (tb *treeBuilder) event(kind EventKind, detail string, ns Namespace, pos Position) {
+func (tb *treeBuilder) event(kind EventKind, detail string, ns Namespace, pos int) {
 	tb.events = append(tb.events, TreeEvent{Kind: kind, Detail: detail, Namespace: ns, Pos: pos})
 }
 
 // eventAttrs records an event together with the triggering token's
 // attributes (used by the metadata events that DM1/DM2 consume).
-func (tb *treeBuilder) eventAttrs(kind EventKind, detail string, pos Position, attr []Attribute) {
+func (tb *treeBuilder) eventAttrs(kind EventKind, detail string, pos int, attr []Attribute) {
 	tb.events = append(tb.events, TreeEvent{Kind: kind, Detail: detail, Namespace: NamespaceHTML, Pos: pos, Attr: attr})
 }
 
@@ -424,7 +415,7 @@ func (tb *treeBuilder) createElement(t *Token, ns Namespace) *Node {
 }
 
 // insertImplied synthesizes an element with no corresponding start tag.
-func (tb *treeBuilder) insertImplied(tag string, pos Position) *Node {
+func (tb *treeBuilder) insertImplied(tag string, pos int) *Node {
 	n := tb.newNode()
 	*n = Node{Type: ElementNode, Data: tag, Namespace: NamespaceHTML, Implied: true, Pos: pos}
 	tb.insertNode(n)
@@ -434,7 +425,7 @@ func (tb *treeBuilder) insertImplied(tag string, pos Position) *Node {
 
 // insertText inserts character data at the appropriate place, merging with
 // an adjacent text node as the spec requires.
-func (tb *treeBuilder) insertText(data string, pos Position) {
+func (tb *treeBuilder) insertText(data string, pos int) {
 	if data == "" {
 		return
 	}
