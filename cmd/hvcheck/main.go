@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,22 +27,21 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// printSourceContext shows the finding's source line with a caret under
-// the reported column (columns are rune-based, matching the parser).
-func printSourceContext(w io.Writer, data []byte, line, col int) {
-	ls := strings.Split(string(data), "\n")
-	if line < 1 || line > len(ls) {
-		return
-	}
-	src := strings.ReplaceAll(ls[line-1], "\t", " ")
+// printSourceContext shows the line of the preprocessed input, whose
+// line breaks positions count, that holds pos, with a caret under pos's
+// column (columns are rune-based, matching the parser).
+func printSourceContext(w io.Writer, input []byte, pos htmlparse.Position) {
+	line := input[bytes.LastIndexByte(input[:pos.Offset], '\n')+1:]
+	line, _, _ = bytes.Cut(line, []byte("\n"))
+	src := strings.ReplaceAll(string(line), "\t", " ")
 	const max = 200
 	if len(src) > max {
 		src = src[:max] + "…"
 	}
 	fmt.Fprintf(w, "    %s\n", src)
-	if col >= 1 && col <= len(src)+1 {
+	if pos.Col >= 1 && pos.Col <= len(src)+1 {
 		runes := []rune(src)
-		pad := col - 1
+		pad := pos.Col - 1
 		if pad > len(runes) {
 			pad = len(runes)
 		}
@@ -99,6 +99,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if *quiet {
 			return
 		}
+		var input []byte
+		if *source {
+			pre, _ := htmlparse.Preprocess(data) // Check accepted data
+			input = pre.Input
+		}
 		for _, f := range rep.Findings {
 			if *jsonOut {
 				line, _ := json.Marshal(map[string]any{
@@ -114,7 +119,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				}
 				fmt.Fprintln(stdout)
 				if *source {
-					printSourceContext(stdout, data, f.Pos.Line, f.Pos.Col)
+					printSourceContext(stdout, input, f.Pos)
 				}
 			}
 		}

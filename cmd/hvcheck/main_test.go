@@ -130,3 +130,18 @@ func TestCheckShowSource(t *testing.T) {
 		t.Fatalf("caret missing: %q", out)
 	}
 }
+
+// TestCheckShowSourceLineBreaks: the source line is cut from the
+// preprocessed input that positions count, so a lone CR breaks a line
+// and a CRLF file prints no CR.
+func TestCheckShowSourceLineBreaks(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"a\rb\r<p>x</p><div id=a id=b>", "<stdin>:3:24: DM3 (id)\n    <p>x</p><div id=a id=b>\n                           ^\n"},
+		{"<p>a</p>\r\n<div id=a id=b>x</div>\r\n", "<stdin>:2:16: DM3 (id)\n    <div id=a id=b>x</div>\n                   ^\n"},
+	} {
+		code, out, _ := runCheck(t, c.in, "-show-source", "-rules", "DM3")
+		if code != 1 || out != c.want {
+			t.Errorf("%q: exit %d, output\n%s\nwant\n%s", c.in, code, out, c.want)
+		}
+	}
+}

@@ -30,7 +30,7 @@ import (
 // render(parse(x)). Inputs that hit a documented serialization hazard
 // (see rawTextHazard) report skipped=true instead of a verdict.
 func RenderParseFixpoint(input []byte) (skipped bool, err error) {
-	res1, perr := htmlparse.ParseReuse(input)
+	res1, perr := htmlparse.Parse(input)
 	if perr != nil {
 		return true, nil // non-UTF-8 input: outside the serializer's domain
 	}
@@ -38,7 +38,7 @@ func RenderParseFixpoint(input []byte) (skipped bool, err error) {
 		return true, nil
 	}
 	out1 := htmlparse.RenderString(res1.Doc)
-	res2, perr := htmlparse.ParseReuse([]byte(out1))
+	res2, perr := htmlparse.Parse([]byte(out1))
 	if perr != nil {
 		return false, fmt.Errorf("render of %q is not parseable: %v", input, perr)
 	}
@@ -114,11 +114,11 @@ func TruncationStability(input []byte, cut int) error {
 	for cut > 0 && cut < len(input) && !utf8.RuneStart(input[cut]) {
 		cut--
 	}
-	full, err := htmlparse.ParseReuse(input)
+	full, err := htmlparse.Parse(input)
 	if err != nil {
 		return nil // non-UTF-8 input is rejected before tokenization
 	}
-	trunc, err := htmlparse.ParseReuse(input[:cut])
+	trunc, err := htmlparse.Parse(input[:cut])
 	if err != nil {
 		return fmt.Errorf("prefix of valid UTF-8 rejected: %v", err)
 	}
@@ -154,7 +154,7 @@ func TruncationStability(input []byte, cut int) error {
 // so reversal cannot change which value wins — and the raw-syntax rules
 // (FB1/FB2 et al.) see well-formed markup either way.
 func AttrReorderInvariance(input []byte) error {
-	res, perr := htmlparse.ParseReuse(input)
+	res, perr := htmlparse.Parse(input)
 	if perr != nil {
 		return nil
 	}
@@ -179,7 +179,7 @@ func AttrReorderInvariance(input []byte) error {
 	if d := diffRuleHits(rep1.RuleHits, rep1b.RuleHits); d != "" {
 		return fmt.Errorf("checker not deterministic on %q:\n%s", h1, d)
 	}
-	res2, perr := htmlparse.ParseReuse([]byte(h1))
+	res2, perr := htmlparse.Parse([]byte(h1))
 	if perr != nil {
 		return fmt.Errorf("canonical render %q not parseable: %v", h1, perr)
 	}
@@ -260,7 +260,7 @@ func DecoderAgreement(input []byte) error {
 	if !utf8.ValidString(decoded) {
 		return fmt.Errorf("windows-1252 decode of %q is not valid UTF-8", input)
 	}
-	resW, err := htmlparse.ParseReuse([]byte(decoded))
+	resW, err := htmlparse.Parse([]byte(decoded))
 	if err != nil {
 		return fmt.Errorf("windows-1252 decode of %q rejected by parser: %v", input, err)
 	}
@@ -272,7 +272,7 @@ func DecoderAgreement(input []byte) error {
 	if decoded != string(input) {
 		return fmt.Errorf("windows-1252 decode changed ASCII input %q to %q", input, decoded)
 	}
-	resU, err := htmlparse.ParseReuse(input)
+	resU, err := htmlparse.Parse(input)
 	if err != nil {
 		return fmt.Errorf("ASCII input %q rejected as UTF-8: %v", input, err)
 	}

@@ -62,25 +62,33 @@ var onePassSeeds = []string{
 		"<body><p>x</p>\n<meta http-equiv=\"set-cookie\" content=\"a=b\">\n<base href=\"/a/\"></body>",
 }
 
-// onePassAgreement checks Check ≡ CheckTree ≡ CheckParsed(ParseReuse) for
-// the full catalogue; input outside the UTF-8 domain must be rejected by
-// both parses. It holds on every input: all three run the same parser.
+// onePassAgreement checks Check ≡ CheckTree ≡ CheckParsed(Parse) for
+// the full catalogue, and that CheckTree's Result records nothing; input
+// outside the UTF-8 domain must be rejected by both parses. It holds on
+// every input: all three run the same parser.
 func onePassAgreement(input []byte) error {
 	full := core.NewChecker()
 	oneRep, err := full.Check(input)
-	res, perr := htmlparse.ParseReuse(input)
+	res, perr := htmlparse.Parse(input)
 	if (err == nil) != (perr == nil) {
-		return fmt.Errorf("UTF-8 domain disagreement for %q: Check %v, ParseReuse %v", input, err, perr)
+		return fmt.Errorf("UTF-8 domain disagreement for %q: Check %v, Parse %v", input, err, perr)
 	}
 	if err != nil {
 		return nil
 	}
 	if d := diffReports(oneRep, full.CheckParsed(&core.Page{Result: res})); d != "" {
-		return fmt.Errorf("Check vs CheckParsed(ParseReuse) for %q: %s", input, d)
+		return fmt.Errorf("Check vs CheckParsed(Parse) for %q: %s", input, d)
 	}
 	var treeRep *core.Report
-	if err := full.CheckTree(context.Background(), input, 0, func(_ *htmlparse.Result, r *core.Report) { treeRep = r }); err != nil {
+	recorded := false
+	if err := full.CheckTree(context.Background(), input, 0, func(res *htmlparse.Result, r *core.Report) {
+		treeRep = r
+		recorded = res.Errors != nil || res.Events != nil || res.Tokens != nil
+	}); err != nil {
 		return err
+	}
+	if recorded {
+		return fmt.Errorf("CheckTree's Result of %.80q records errors, events or tokens", input)
 	}
 	if d := diffReports(oneRep, treeRep); d != "" {
 		return fmt.Errorf("Check vs CheckTree for %q: %s", input, d)
@@ -260,8 +268,9 @@ func TestRecordedTraceMatchesHook(t *testing.T) {
 }
 
 // FuzzOnePassAgreement holds the one-pass check to CheckTree and the
-// replay path on each of two inputs, and the scoped check to CheckTree
-// over A, B, A on one goroutine.
+// replay path, and the scoped parse's observer to Parse's record, on each
+// of two inputs, and the scoped check to CheckTree over A, B, A on one
+// goroutine.
 func FuzzOnePassAgreement(f *testing.F) {
 	var seeds []string
 	seeds = append(seeds, metamorphicSeeds...)
@@ -272,6 +281,9 @@ func FuzzOnePassAgreement(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		for _, input := range [][]byte{a, b} {
 			if err := onePassAgreement(input); err != nil {
+				t.Fatal(err)
+			}
+			if err := observerAgreement(input); err != nil {
 				t.Fatal(err)
 			}
 		}

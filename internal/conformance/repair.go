@@ -55,7 +55,7 @@ func FixIdempotence(input []byte) (skipped bool, err error) {
 // every strategy-covered rule at zero, and an Unfixable repair returns
 // the input untouched with no applied fixes.
 func FixMonotonicity(input []byte) (skipped bool, err error) {
-	res, perr := htmlparse.ParseReuse(input)
+	res, perr := htmlparse.Parse(input)
 	if perr != nil {
 		return true, nil // outside the checker's domain
 	}
@@ -76,7 +76,7 @@ func FixMonotonicity(input []byte) (skipped bool, err error) {
 		}
 		return false, nil
 	}
-	outRes, perr := htmlparse.ParseReuse(r.Output)
+	outRes, perr := htmlparse.Parse(r.Output)
 	if perr != nil {
 		return false, fmt.Errorf("verified repair of %q is not parseable: %v", input, perr)
 	}

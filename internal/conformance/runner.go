@@ -140,9 +140,9 @@ func (r *Runner) runTree(c *TreeCase) bool {
 	var res *htmlparse.Result
 	var err error
 	if c.Fragment != "" {
-		res, err = htmlparse.ParseFragmentReuse([]byte(c.Data), c.Fragment)
+		res, err = htmlparse.ParseFragment([]byte(c.Data), c.Fragment)
 	} else {
-		res, err = htmlparse.ParseReuse([]byte(c.Data))
+		res, err = htmlparse.Parse([]byte(c.Data))
 	}
 	if err != nil {
 		r.record(c.ID(), Fail, fmt.Sprintf("parse rejected input: %v", err))

@@ -154,11 +154,12 @@ func (c *Checker) countHits(rep *Report) {
 
 // pass is one document's run of the checker's rules: the live hook state
 // of every rule, the findings each has emitted so far, and the page
-// signals. A pass is fed each start and end tag in document order, then
-// the parse errors, the tree events and the finished tree's elements, and
-// rules and signals are computed by the same code whether the tags arrive
-// live from the tree builder's OnTag hook (CheckTree, and so Check and
-// CheckContext) or are replayed from a recorded trace (CheckParsed).
+// signals. A pass is the parse's htmlparse.Observer: its Tag, Error and
+// Event methods take the tags, parse errors and tree events as the parse
+// reaches them (CheckTree, and so Check and CheckContext), or as
+// CheckParsed replays them from a recorded Result; then parsed walks the
+// finished tree's elements. Rules and signals are computed by the same
+// code either way.
 type pass struct {
 	c     *Checker
 	rules []ruleRun // parallel to c.rules
@@ -206,8 +207,8 @@ func (c *Checker) newPass() *pass {
 	return ps
 }
 
-// tag feeds one start or end tag to the signals and every token hook.
-func (ps *pass) tag(t *htmlparse.Token) {
+// Tag feeds one start or end tag to the signals and every token hook.
+func (ps *pass) Tag(t *htmlparse.Token) {
 	if t.Type == htmlparse.StartTagToken {
 		ps.sig.observe(t)
 	}
@@ -216,22 +217,24 @@ func (ps *pass) tag(t *htmlparse.Token) {
 	}
 }
 
-// parsed feeds what the finished parse holds beyond its tags: the parse
-// errors to every error hook, then the tree events to every event hook,
-// both in recorded order, then each element of one pre-order walk of the
-// tree to every element hook. The walk is skipped when no rule has an
-// element hook.
+// Error feeds one parse error to every error hook.
+func (ps *pass) Error(e htmlparse.ParseError) {
+	for _, rr := range ps.errors {
+		rr.Error(e, rr.emit)
+	}
+}
+
+// Event feeds one tree event to every event hook.
+func (ps *pass) Event(e *htmlparse.TreeEvent) {
+	for _, rr := range ps.events {
+		rr.Event(e, rr.emit)
+	}
+}
+
+// parsed feeds each element of one pre-order walk of the finished tree to
+// every element hook. The walk is skipped when no rule has an element
+// hook.
 func (ps *pass) parsed(res *htmlparse.Result) {
-	for _, e := range res.Errors {
-		for _, rr := range ps.errors {
-			rr.Error(e, rr.emit)
-		}
-	}
-	for j := range res.Events {
-		for _, rr := range ps.events {
-			rr.Event(&res.Events[j], rr.emit)
-		}
-	}
 	if len(ps.elements) == 0 {
 		return
 	}
@@ -279,40 +282,39 @@ func (c *Checker) CheckContext(ctx context.Context, html []byte, maxTreeDepth in
 }
 
 // CheckTree parses html once, checks it during that parse and calls f
-// with the Result and its report. The parser's OnTag hook drives the
-// token hooks and the signals tag by tag, so no token trace is recorded
-// or replayed; the parse errors, tree events and elements of the
-// finished Result then go through the other hooks. The parse runs in
-// htmlparse.ParseScoped: the Result is valid only inside f, and when f
-// returns the tree's node slabs go back to the pooled parser, so f must
-// not retain Doc or any Node (the repair engine edits and serializes the
-// tree inside f). The report is the caller's to keep. ctx bounds the
-// parse and a positive maxTreeDepth caps the open-element stack; on
-// either abort f is not called and the error is returned. A nil ctx is
-// never canceled and caps no depth.
+// with the Result and its report. The pass is the parse's observer, so
+// tags, parse errors and tree events reach the hooks as the parse emits
+// them and nothing is recorded or replayed; only the element walk runs
+// on the finished tree. The parse runs in htmlparse.ParseScoped: the
+// Result is valid only inside f, and when f returns the tree's node
+// slabs go back to the pooled parser, so f must not retain Doc or any
+// Node (the repair engine edits and serializes the tree inside f). The
+// report is the caller's to keep. ctx bounds the parse and a positive
+// maxTreeDepth caps the open-element stack; on either abort f is not
+// called and the error is returned. A nil ctx is never canceled and caps
+// no depth.
 func (c *Checker) CheckTree(ctx context.Context, html []byte, maxTreeDepth int, f func(*htmlparse.Result, *Report)) error {
 	ps := c.newPass()
-	return htmlparse.ParseScoped(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth, OnTag: ps.tag}, func(res *htmlparse.Result) {
-		f(res, ps.finish(res))
+	return htmlparse.ParseScoped(ctx, html, htmlparse.Options{MaxTreeDepth: maxTreeDepth}, ps, func(res *htmlparse.Result) {
+		ps.parsed(res)
+		f(res, ps.report(res, ""))
 	})
 }
 
-// finish completes a pass whose tags the parse already fed live and
-// builds the report.
-func (ps *pass) finish(res *htmlparse.Result) *Report {
-	ps.parsed(res)
-	return ps.report(res, "")
-}
-
-// CheckParsed runs the rules over an already parsed page. The token hooks
-// and the signals replay the page's recorded tag trace, so the page must
-// come from a parse with htmlparse.Options.RecordTokens set (Parse,
-// ParseReuse and ParseFragment* set it); without a trace they see no tags
-// and report nothing. The other hooks read the Result as in CheckTree.
+// CheckParsed runs the rules over a page from a recording parse (Parse,
+// ParseFragment, ParseReuse): it replays the page's tags, then its
+// errors, then its events through the pass's observer methods, and walks
+// the tree as CheckTree does.
 func (c *Checker) CheckParsed(p *Page) *Report {
 	ps := c.newPass()
 	for i := range p.Tokens {
-		ps.tag(&p.Tokens[i])
+		ps.Tag(&p.Tokens[i])
+	}
+	for _, e := range p.Errors {
+		ps.Error(e)
+	}
+	for i := range p.Events {
+		ps.Event(&p.Events[i])
 	}
 	ps.parsed(p.Result)
 	return ps.report(p.Result, p.URL)
@@ -326,7 +328,7 @@ func (c *Checker) CheckStreamContext(ctx context.Context, html []byte) (*Report,
 }
 
 // observe folds one start tag into the signals. Every entry point calls
-// it once per start tag through pass.tag, so all of them measure signals
+// it once per start tag through pass.Tag, so all of them measure signals
 // with the same code.
 //
 //hv:hotpath runs once per start tag on every checking path

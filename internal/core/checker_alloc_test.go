@@ -45,7 +45,7 @@ func TestCheckOnePassAllocsFlat(t *testing.T) {
 			}
 		})
 		parse := minAllocs(50, func() {
-			if err := htmlparse.ParseScoped(context.Background(), doc, htmlparse.Options{}, func(*htmlparse.Result) {}); err != nil {
+			if err := htmlparse.ParseScoped(context.Background(), doc, htmlparse.Options{}, nil, func(*htmlparse.Result) {}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -65,14 +65,17 @@ type Rule struct {
 // RuleStream is the per-document state of one rule: four hooks over the
 // one instrumented parse (paper §3.2). Hooks are optional; a nil hook is
 // skipped. The checker calls
-//   - Token for every start and end tag in document order, as the parse
-//     reaches it (live from the tree builder, or replayed by CheckParsed);
-//   - Error once per parse error, after the document is parsed;
-//   - Event once per tree-construction event, in recorded (document)
-//     order, after the error hooks;
+//   - Token for every start and end tag, Error once per parse error and
+//     Event once per tree-construction event, each as the parse reaches
+//     it (the order of htmlparse.Observer): tags and events in document
+//     order, the tokenizer's errors in input order, interleaved with the
+//     tree builder's;
 //   - Element once per element of the finished tree, in one shared
-//     pre-order walk of the document, after the event hooks. The walk is
+//     pre-order walk of the document, after the parse. The walk is
 //     skipped when no rule of the checker has an Element hook.
+//
+// CheckParsed replays a recorded parse instead (tags, then errors, then
+// events); a rule with one hook sees the same calls in the same order.
 //
 // The token (including its attribute array), the event and the node are
 // only valid for the duration of the call. Hooks append via emit and keep

@@ -61,7 +61,7 @@ func (tb *treeBuilder) adoptionAgency(t *Token) {
 		}
 		// Only a genuine misnesting (a furthest block exists) reaches the
 		// re-parenting machinery worth reporting.
-		tb.event(EventAdoptionAgency, subject, NamespaceHTML, t.Pos)
+		tb.event(TreeEvent{Kind: EventAdoptionAgency, Detail: subject, Pos: t.Pos})
 		commonAncestor := tb.stack[stackIdx-1]
 		bookmark := feIdx
 		node, nodeIdx := fb, fbIdx

@@ -22,19 +22,20 @@ var ErrTreeDepthExceeded = errors.New("htmlparse: open-element depth exceeds the
 // builder polls ctx between token batches and aborts with ctx.Err()
 // when the deadline passes or the caller disconnects, and enforces
 // Options.MaxTreeDepth. On abort the pooled parser's scratch state is
-// recycled normally — an aborted parse never poisons the pool.
+// recycled normally — an aborted parse never poisons the pool. A nil ctx
+// is never canceled and caps no depth, as in ParseReuse.
 func ParseReuseContext(ctx context.Context, b []byte, opts Options) (*Result, error) {
 	pre, err := Preprocess(b)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
 	p := getParser()
 	// An aborted parse's partial tree is abandoned with the arena; only
 	// scratch returns to the pool, exactly as after a completed parse.
-	res, err := p.parse(ctx, pre, opts)
+	res, err := p.record(ctx, pre, opts, "")
 	p.release()
 	return res, err
 }

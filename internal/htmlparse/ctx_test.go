@@ -13,7 +13,7 @@ func TestParseReuseContextCompletesLikeParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseReuseContext(context.Background(), in, Options{RecordTokens: true})
+	got, err := ParseReuseContext(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestParseReuseContextAbortThenReusePool(t *testing.T) {
 		if _, err := ParseReuseContext(context.Background(), deep, Options{MaxTreeDepth: 64}); !errors.Is(err, ErrTreeDepthExceeded) {
 			t.Fatalf("round %d: deep parse err = %v, want ErrTreeDepthExceeded", i, err)
 		}
-		res, err := ParseReuseContext(context.Background(), good, Options{RecordTokens: true})
+		res, err := ParseReuseContext(context.Background(), good, Options{})
 		if err != nil {
 			t.Fatalf("round %d: good parse: %v", i, err)
 		}

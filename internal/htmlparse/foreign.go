@@ -84,7 +84,7 @@ func (tb *treeBuilder) foreignIM(t *Token) bool {
 			// namespace-confusion step of the Figure 1 sanitizer bypass.
 			from := tb.currentForeignNamespace()
 			tb.parseError(ErrForeignContentBreakout, t.Data, t.Pos)
-			tb.event(EventForeignBreakout, t.Data, from, t.Pos)
+			tb.event(TreeEvent{Kind: EventForeignBreakout, Detail: t.Data, Namespace: from, Pos: t.Pos})
 			tb.popForeign()
 			return false
 		}

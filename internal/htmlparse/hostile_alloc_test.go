@@ -10,9 +10,11 @@ import (
 
 // TestHostileShapesAllocationBudget bounds the bytes a full-catalogue
 // CheckContext allocates on each hostile shape at 1 MiB, counted from
-// runtime.MemStats.TotalAlloc. A shape that records one parse error per
-// input byte pays for every error, so the bound moves with the size of
-// ParseError and of what the check keeps per error. Two garbage
+// runtime.MemStats.TotalAlloc. A check keeps none of the parse errors and
+// tree events it sees, so a shape with one parse error per input byte
+// costs about what a clean shape of its size does; a bound that grows
+// with the error count means something on the check path records them
+// again. Two garbage
 // collections before each check empty the parser pool, so every shape is
 // measured on a fresh parser, whatever scratch the shape before it left.
 // The bounds hold for the production build; a race-instrumented binary

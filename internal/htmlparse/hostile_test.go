@@ -23,12 +23,12 @@ var hostileShapes = []hostileShape{
 	{"comment dashes", "<!--", "a-", "-->", 1_380_000},
 	{"comment less-thans", "<!--", "<", "-->", 1_380_000},
 	{"textarea end tag name", "<textarea></", "A", "", 7_950_000},
-	{"doctype public ID of NULs", `<!DOCTYPE html PUBLIC "`, "\x00", `">`, 348_000_000},
-	{"text of NULs", "", "\x00", "", 389_000_000},
+	{"doctype public ID of NULs", `<!DOCTYPE html PUBLIC "`, "\x00", `">`, 26_300_000},
+	{"text of NULs", "", "\x00", "", 1_370_000},
 	{"attribute of references", `<a href="`, "&amp;", `">`, 2_780_000},
 	{"text of references", "", "&amp;", "", 2_780_000},
 	{"plain comment", "<!--", "a", "-->", 1_380_000},
-	{"text between ignored end tags", "", "a</x>", "", 170_000_000},
+	{"text between ignored end tags", "", "a</x>", "", 3_030_000},
 }
 
 // input returns the shape with its unit repeated to about size bytes.

@@ -32,12 +32,7 @@ func (tb *treeBuilder) run() {
 		// the handlers edit it in place when they reprocess a token.
 		t := tb.z.nextToken()
 		if t.Type == StartTagToken || t.Type == EndTagToken {
-			if tb.recordTokens {
-				tb.tokens = append(tb.tokens, *t)
-			}
-			if tb.onTag != nil {
-				tb.onTag(t)
-			}
+			tb.obs.Tag(t)
 		}
 		if tb.skipLeadingNewline {
 			tb.skipLeadingNewline = false
@@ -139,7 +134,7 @@ func (tb *treeBuilder) stopParsing(pos int) {
 		}
 		allowed := n.Namespace == NamespaceHTML && allowedOpenAtEOF[n.Data]
 		n.AutoClosedAtEOF = true
-		tb.events = append(tb.events, TreeEvent{
+		tb.event(TreeEvent{
 			Kind: EventAutoClosedAtEOF, Detail: n.Data,
 			Namespace: n.Namespace, Allowed: allowed, Pos: pos,
 		})
@@ -275,7 +270,7 @@ func (tb *treeBuilder) beforeHeadIM(t *Token) bool {
 	}
 	tb.head = tb.insertImplied("head", t.Pos)
 	if t.Type != EOFToken {
-		tb.event(EventImpliedHead, "", NamespaceHTML, t.Pos)
+		tb.event(TreeEvent{Kind: EventImpliedHead, Pos: t.Pos})
 	}
 	tb.mode = modeInHead
 	return false
@@ -371,7 +366,7 @@ func (tb *treeBuilder) inHeadIM(t *Token) bool {
 			if t.Type == StartTagToken || t.Type == EndTagToken {
 				detail = t.Data
 			}
-			tb.event(EventHeadBroken, detail, NamespaceHTML, t.Pos)
+			tb.event(TreeEvent{Kind: EventHeadBroken, Detail: detail, Pos: t.Pos})
 		}
 	}
 	return false
@@ -428,7 +423,7 @@ func (tb *treeBuilder) afterHeadIM(t *Token) bool {
 			// it into the head element (HF1 evidence, and the place where
 			// wrongly positioned meta/base elements surface).
 			tb.parseError(ErrUnexpectedElementInHead, t.Data, t.Pos)
-			tb.eventAttrs(EventMetadataAfterHead, t.Data, t.Pos, t.Attr)
+			tb.event(TreeEvent{Kind: EventMetadataAfterHead, Detail: t.Data, Pos: t.Pos, Attr: t.Attr})
 			tb.push(tb.head)
 			tb.inHeadIM(t)
 			tb.removeFromStack(tb.head)
@@ -449,7 +444,7 @@ func (tb *treeBuilder) afterHeadIM(t *Token) bool {
 	}
 	tb.insertImplied("body", t.Pos)
 	if t.Type != EOFToken {
-		tb.event(EventImpliedBody, "", NamespaceHTML, t.Pos)
+		tb.event(TreeEvent{Kind: EventImpliedBody, Pos: t.Pos})
 	}
 	tb.framesetOK = true
 	tb.mode = modeInBody
@@ -506,9 +501,9 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		// surface the paper studies.
 		switch t.Data {
 		case "meta":
-			tb.eventAttrs(EventMetaInBody, t.Data, t.Pos, t.Attr)
+			tb.event(TreeEvent{Kind: EventMetaInBody, Detail: t.Data, Pos: t.Pos, Attr: t.Attr})
 		case "base":
-			tb.eventAttrs(EventBaseInBody, t.Data, t.Pos, t.Attr)
+			tb.event(TreeEvent{Kind: EventBaseInBody, Detail: t.Data, Pos: t.Pos, Attr: t.Attr})
 		}
 		return tb.inHeadIM(t)
 	case "body":
@@ -516,7 +511,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		if len(tb.stack) > 1 && tb.stack[1].IsElement("body") {
 			tb.framesetOK = false
 			tb.mergeAttrs(tb.stack[1], t)
-			tb.event(EventSecondBody, "", NamespaceHTML, t.Pos)
+			tb.event(TreeEvent{Kind: EventSecondBody, Pos: t.Pos})
 		}
 		return true
 	case "frameset":
@@ -567,7 +562,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			// The DE4 signal: a nested form start tag is silently dropped,
 			// so an attacker-controlled earlier form wins.
 			tb.parseError(ErrNestedFormElement, "", t.Pos)
-			tb.event(EventNestedForm, "", NamespaceHTML, t.Pos)
+			tb.event(TreeEvent{Kind: EventNestedForm, Pos: t.Pos})
 			return true
 		}
 		if tb.elementInScope(buttonScopeExtra, "p") {
@@ -799,10 +794,10 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 	// element.
 	if svgOnlyElements[t.Data] {
 		tb.parseError(ErrHTMLIntegrationMisnesting, t.Data, t.Pos)
-		tb.event(EventForeignElementInHTML, t.Data, NamespaceSVG, t.Pos)
+		tb.event(TreeEvent{Kind: EventForeignElementInHTML, Detail: t.Data, Namespace: NamespaceSVG, Pos: t.Pos})
 	} else if mathmlOnlyElements[t.Data] {
 		tb.parseError(ErrHTMLIntegrationMisnesting, t.Data, t.Pos)
-		tb.event(EventForeignElementInHTML, t.Data, NamespaceMathML, t.Pos)
+		tb.event(TreeEvent{Kind: EventForeignElementInHTML, Detail: t.Data, Namespace: NamespaceMathML, Pos: t.Pos})
 	}
 	tb.reconstructAFE()
 	tb.insertElement(t, NamespaceHTML)
@@ -938,7 +933,7 @@ func (tb *treeBuilder) anyOtherEndTag(t *Token) {
 		}
 		if node.Namespace == NamespaceHTML && specialElements[node.Data] {
 			tb.parseError(ErrUnexpectedEndTag, t.Data, t.Pos)
-			tb.event(EventIgnoredToken, "/"+t.Data, NamespaceHTML, t.Pos)
+			tb.event(TreeEvent{Kind: EventIgnoredToken, Detail: "/" + t.Data, Pos: t.Pos})
 			return
 		}
 	}
@@ -958,7 +953,7 @@ func (tb *treeBuilder) textIM(t *Token) bool {
 		n := tb.currentNode()
 		tb.parseError(ErrUnexpectedEOFInElement, n.Data, t.Pos)
 		n.AutoClosedAtEOF = true
-		tb.events = append(tb.events, TreeEvent{
+		tb.event(TreeEvent{
 			Kind: EventAutoClosedAtEOF, Detail: n.Data,
 			Namespace: n.Namespace, Pos: t.Pos,
 		})
@@ -1076,7 +1071,7 @@ func (tb *treeBuilder) inTableIM(t *Token) bool {
 	}
 	tb.parseError(ErrFosterParenting, detail, t.Pos)
 	if t.Type == StartTagToken {
-		tb.event(EventFosterParented, detail, NamespaceHTML, t.Pos)
+		tb.event(TreeEvent{Kind: EventFosterParented, Detail: detail, Pos: t.Pos})
 	}
 	tb.fosterParenting = true
 	consumed := tb.inBodyIM(t)
@@ -1120,7 +1115,7 @@ func (tb *treeBuilder) inTableTextIM(t *Token) bool {
 		} else {
 			// Non-whitespace text inside a table: foster-parented (HF4).
 			tb.parseError(ErrUnexpectedTextInTable, "", tb.tableTextPos)
-			tb.event(EventFosterParented, "#text", NamespaceHTML, tb.tableTextPos)
+			tb.event(TreeEvent{Kind: EventFosterParented, Detail: "#text", Pos: tb.tableTextPos})
 			tb.fosterParenting = true
 			tb.reconstructAFE()
 			tb.insertText(text, tb.tableTextPos)
@@ -1494,7 +1489,7 @@ func (tb *treeBuilder) inSelectIM(t *Token) bool {
 		}
 	}
 	tb.parseError(ErrUnexpectedStartTag, t.Data, t.Pos)
-	tb.event(EventIgnoredToken, t.Data, NamespaceHTML, t.Pos)
+	tb.event(TreeEvent{Kind: EventIgnoredToken, Detail: t.Data, Pos: t.Pos})
 	return true
 }
 

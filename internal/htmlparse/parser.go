@@ -16,23 +16,10 @@ import "sort"
 
 // Options configures the pooled parse entry points.
 type Options struct {
-	// RecordTokens captures the tag tokens the tokenizer emitted (character
-	// tokens are omitted) in Result.Tokens. Only callers that check the
-	// Result afterwards with core.Checker.CheckParsed need it: the checker
-	// replays the trace through its token hooks there. Checking during
-	// the parse goes through OnTag instead and records nothing.
+	// Deprecated: read nowhere, since a recording parse always records
+	// and ParseScoped hands every tag to its observer. Kept only for
+	// perfbench until its next change.
 	RecordTokens bool
-	// OnTag, when set, is called with every start and end tag the tree
-	// builder takes from the tokenizer — exactly the tags RecordTokens
-	// records, at the same point: before tree construction acts on the
-	// tag, so the hook sees the tokenizer's attribute names and tags the
-	// tree builder later drops (a nested form) alike. The token and its
-	// attribute array are only valid for the duration of the call and
-	// must not be modified. Their Pos fields are byte offsets: a hook
-	// that keeps one resolves it against Result.Input once the parse is
-	// done. A hook that panics aborts the parse; the pooled parser it ran
-	// in is discarded, never recycled.
-	OnTag func(*Token)
 	// MaxTreeDepth, when positive, aborts the parse with
 	// ErrTreeDepthExceeded once the open-element stack exceeds it.
 	// Online serving sets it so adversarial deeply-nested documents
@@ -42,9 +29,54 @@ type Options struct {
 	MaxTreeDepth int
 }
 
-// Result is the complete output of one parse: the DOM, the merged parse
-// errors from all stages, the tree builder's corrective events, and
-// (optionally) the tag token trace.
+// Observer receives everything one parse reports. The preprocessor's
+// errors come first; then every start and end tag, parse error and
+// tree-construction event as the tokenizer or tree builder emits it. Tag
+// is called before tree construction acts on the tag, so it sees the
+// tokenizer's attribute names, and tags the tree builder later drops (a
+// nested form) alike. The tokenizer's errors arrive in input order, but
+// a tree-construction error can follow one at a later offset; a
+// recording parse's Result.Errors is the same list stable-sorted by
+// offset. The token, its attribute array and the event are valid only
+// during the call and must not be modified; every Pos is a byte offset
+// into Result.Input. An observer that panics aborts the parse, and the
+// pooled parser it ran in is discarded, never recycled.
+type Observer interface {
+	Tag(*Token)
+	Error(ParseError)
+	Event(*TreeEvent)
+}
+
+// recorder is the observer of the recording entry points: it keeps every
+// tag, error and event of the parse.
+type recorder struct {
+	tokens []Token
+	errors []ParseError
+	events []TreeEvent
+}
+
+func (r *recorder) Tag(t *Token)       { r.tokens = append(r.tokens, *t) }
+func (r *recorder) Error(e ParseError) { r.errors = append(r.errors, e) }
+func (r *recorder) Event(e *TreeEvent) { r.events = append(r.events, *e) }
+
+// keep moves what r recorded into res, the errors stable-sorted by
+// offset.
+func (r *recorder) keep(res *Result) {
+	sort.SliceStable(r.errors, func(i, j int) bool { return r.errors[i].Pos < r.errors[j].Pos })
+	res.Tokens, res.Errors, res.Events = r.tokens, r.errors, r.events
+}
+
+// discard is the observer of a parse whose caller passed none.
+type discard struct{}
+
+func (discard) Tag(*Token)       {}
+func (discard) Error(ParseError) {}
+func (discard) Event(*TreeEvent) {}
+
+// Result is the output of one parse: the DOM and its input, and for a
+// recording parse the parse errors of all stages sorted by offset, the
+// tree builder's corrective events and the tag token trace. A
+// ParseScoped Result records none of these: only its observer saw them.
 type Result struct {
 	Doc    *Node
 	Errors []ParseError
@@ -88,34 +120,21 @@ func (r *Result) EventsByKind(kind EventKind) []TreeEvent {
 // other malformed input parses successfully with errors recorded in the
 // Result — error tolerance by design.
 func Parse(b []byte) (*Result, error) {
-	pre, err := Preprocess(b)
-	if err != nil {
-		return nil, err
-	}
-	z := NewTokenizer(pre.Input)
-	tb := newTreeBuilder(z)
-	tb.recordTokens = true
-	tb.run()
-	return assemble(pre, z, tb, tb.doc), nil
+	return ParseFragment(b, "")
 }
 
 // ParseFragment parses input with the HTML fragment parsing algorithm
 // (innerHTML semantics) in the given context element. This is what DOM
 // sinks like innerHTML and what sanitizers operate on — the second parse
 // in a mutation XSS chain. The returned Doc is the fragment's root whose
-// children are the parsed nodes.
+// children are the parsed nodes. An empty context parses a document, as
+// Parse does.
 func ParseFragment(b []byte, context string) (*Result, error) {
 	pre, err := Preprocess(b)
 	if err != nil {
 		return nil, err
 	}
-	z := NewTokenizer(pre.Input)
-	tb := newTreeBuilder(z)
-	tb.recordTokens = true
-	root := tb.setupFragment(context)
-	tb.run()
-	res := assemble(pre, z, tb, root)
-	return res, nil
+	return new(Parser).record(nil, pre, Options{}, context)
 }
 
 // setupFragment arranges the tree builder for the fragment parsing
@@ -136,21 +155,6 @@ func (tb *treeBuilder) setupFragment(context string) (root *Node) {
 	}
 	tb.z.StartRawText(context)
 	return root
-}
-
-func assemble(pre *Preprocessed, z *Tokenizer, tb *treeBuilder, doc *Node) *Result {
-	res := &Result{Doc: doc, Events: tb.events, Tokens: tb.tokens, Input: pre.Input, Quirks: tb.quirks, Mode: tb.quirksMode}
-	res.Errors = append(res.Errors, pre.Errors...)
-	res.Errors = append(res.Errors, z.Errors()...)
-	res.Errors = append(res.Errors, tb.errors...)
-	sort.SliceStable(res.Errors, func(i, j int) bool {
-		return res.Errors[i].Pos < res.Errors[j].Pos
-	})
-	if m := metrics.Load(); m != nil {
-		m.arenaSlabs.Add(uint64(tb.arena.slabs))
-		m.arenaNodes.Add(uint64(tb.arena.nodes))
-	}
-	return res
 }
 
 // resetModeForFragment implements the fragment case of "reset the

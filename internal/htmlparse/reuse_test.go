@@ -67,35 +67,6 @@ func TestParseReuseMatchesParse(t *testing.T) {
 	}
 }
 
-// TestParseFragmentReuseMatchesParseFragment mirrors the document test for
-// the fragment entry point across context elements with distinct insertion
-// modes and content models.
-func TestParseFragmentReuseMatchesParseFragment(t *testing.T) {
-	cases := []struct{ context, input string }{
-		{"div", "<p>a<b>b"},
-		{"table", "<tr><td>x</td></tr>"},
-		{"select", "<option>a<option>b"},
-		{"title", "raw &amp; text</title>"},
-		{"script", "if (a < b) {}"},
-		{"form", "<input name=q>"},
-	}
-	for round := 0; round < 2; round++ {
-		for _, c := range cases {
-			fresh, err := ParseFragment([]byte(c.input), c.context)
-			if err != nil {
-				t.Fatalf("ParseFragment(%q): %v", c.context, err)
-			}
-			reused, err := ParseFragmentReuse([]byte(c.input), c.context)
-			if err != nil {
-				t.Fatalf("ParseFragmentReuse(%q): %v", c.context, err)
-			}
-			if want, got := resultFingerprint(t, fresh), resultFingerprint(t, reused); want != got {
-				t.Fatalf("context %q: fragment reuse diverges\n--- fresh ---\n%s\n--- reused ---\n%s", c.context, want, got)
-			}
-		}
-	}
-}
-
 // TestParseReuseParallel hammers the pool from many goroutines while each
 // goroutine keeps validating documents it parsed earlier, so the race
 // detector can see any scratch state leaking between pooled parses and any
@@ -128,7 +99,9 @@ func TestParseReuseParallel(t *testing.T) {
 				held[i] = r
 				k := (i + 5) % len(reuseInputs)
 				var bad error
-				err = ParseScoped(context.Background(), []byte(reuseInputs[k]), Options{RecordTokens: true}, func(r *Result) {
+				rec := new(recorder)
+				err = ParseScoped(context.Background(), []byte(reuseInputs[k]), Options{}, rec, func(r *Result) {
+					rec.keep(r)
 					if got := resultFingerprint(t, r); got != want[k] {
 						bad = fmt.Errorf("goroutine %d: scoped parse of input %d differs\n--- want ---\n%s\n--- got ---\n%s", g, k, want[k], got)
 					}

@@ -126,13 +126,13 @@ func pinned(v reflect.Value, path string, s docSpans, report func(string)) {
 func TestReleasedParserPinsNothing(t *testing.T) {
 	var docs docSpans
 	p := &Parser{}
-	for i, in := range onTagInputs(t) {
+	for i, in := range observerInputs(t) {
 		scoped := i%3 != 0
 		pre, err := Preprocess([]byte(in))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.parse(nil, pre, Options{RecordTokens: true, OnTag: func(*Token) {}})
+		res, err := p.record(nil, pre, Options{}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,6 +157,59 @@ func TestReleasedParserPinsNothing(t *testing.T) {
 	}
 }
 
+// errorCounter is an observer that counts the errors and events it is
+// handed and keeps none of them, as a check's pass does.
+type errorCounter struct{ errors, events int }
+
+func (c *errorCounter) Tag(*Token)       {}
+func (c *errorCounter) Error(ParseError) { c.errors++ }
+func (c *errorCounter) Event(*TreeEvent) { c.events++ }
+
+// reportSlices calls f with the path and capacity of every ParseError or
+// TreeEvent slice under v that holds capacity.
+func reportSlices(v reflect.Value, path string, f func(string, int)) {
+	switch v.Kind() {
+	case reflect.Slice:
+		if et := v.Type().Elem(); (et == reflect.TypeOf(ParseError{}) || et == reflect.TypeOf(TreeEvent{})) && v.Cap() > 0 {
+			f(path, v.Cap())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			reportSlices(v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+	}
+}
+
+// TestReleasedParserKeepsNoReports: a scoped parse of 1 MiB of NULs
+// reports about a million parse errors to its observer, and the released
+// parser holds no ParseError or TreeEvent capacity afterwards: errors and
+// events pass through the parser, they are not kept in it.
+func TestReleasedParserKeepsNoReports(t *testing.T) {
+	p := &Parser{}
+	var nuls hostileShape
+	for _, s := range hostileShapes {
+		if s.name == "text of NULs" {
+			nuls = s
+		}
+	}
+	pre, err := Preprocess([]byte(nuls.input(1 << 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c errorCounter
+	if _, err := p.parse(nil, pre, Options{}, &c, ""); err != nil {
+		t.Fatal(err)
+	}
+	if c.errors < 1<<20 {
+		t.Fatalf("observer saw %d errors, want one per NUL at least", c.errors)
+	}
+	p.tb.arena.recycle()
+	p.scrub()
+	reportSlices(reflect.ValueOf(p).Elem(), "Parser", func(path string, n int) {
+		t.Errorf("released parser keeps %s with capacity %d", path, n)
+	})
+}
+
 // bigPage builds a document of about n nodes: n/2 paragraphs with one
 // text node each.
 func bigPage(n int) []byte {
@@ -172,7 +225,7 @@ func TestScopedParseKeepsBoundedSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.parse(nil, pre, Options{}); err != nil {
+	if _, err := p.parse(nil, pre, Options{}, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	if n := p.tb.arena.nodes; n < 10000 {
@@ -188,7 +241,7 @@ func TestScopedParseKeepsBoundedSlabs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.parse(nil, pre, Options{}); err != nil {
+		if _, err := p.parse(nil, pre, Options{}, nil, ""); err != nil {
 			t.Fatal(err)
 		}
 		if n := p.tb.arena.slabs; n != 0 {
@@ -214,7 +267,7 @@ func TestScopedParseKeepsBoundedSlabs(t *testing.T) {
 // exactly as a fresh Parse does — and errors, events and tokens the
 // callback kept are still intact after later parses reused the slabs.
 func TestParseScopedABA(t *testing.T) {
-	inputs := onTagInputs(t)
+	inputs := observerInputs(t)
 	type kept struct {
 		errs   []ParseError
 		events []TreeEvent
@@ -230,7 +283,9 @@ func TestParseScopedABA(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := resultFingerprint(t, plain)
-			err = ParseScoped(context.Background(), []byte(in), Options{RecordTokens: true}, func(res *Result) {
+			rec := new(recorder)
+			err = ParseScoped(context.Background(), []byte(in), Options{}, rec, func(res *Result) {
+				rec.keep(res)
 				if got := resultFingerprint(t, res); got != want {
 					t.Fatalf("input %d: scoped parse differs from Parse:\n%s\nvs\n%s", i, got, want)
 				}
@@ -253,24 +308,26 @@ func TestParseScopedABA(t *testing.T) {
 // never returns to the pool.
 func TestParseScopedPanicDropsParser(t *testing.T) {
 	doc := []byte("<div><p>a</p><p>b</p></div>")
-	var poisoned *Token
+	spy := &tagSpy{}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("callback panic did not propagate")
 			}
 		}()
-		_ = ParseScoped(context.Background(), doc, Options{OnTag: func(tok *Token) { poisoned = tok }}, func(*Result) {
+		_ = ParseScoped(context.Background(), doc, Options{}, spy, func(*Result) {
 			panic("rule exploded")
 		})
 	}()
+	poisoned := spy.last
 	want, err := Parse(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		var used *Token
-		err := ParseScoped(context.Background(), doc, Options{RecordTokens: true, OnTag: func(tok *Token) { used = tok }}, func(res *Result) {
+		spy := &tagSpy{}
+		err := ParseScoped(context.Background(), doc, Options{}, spy, func(res *Result) {
+			spy.keep(res)
 			if got := resultFingerprint(t, res); got != resultFingerprint(t, want) {
 				t.Fatalf("parse %d after a callback panic differs:\n%s", i, got)
 			}
@@ -278,7 +335,7 @@ func TestParseScopedPanicDropsParser(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if used == poisoned {
+		if spy.last == poisoned {
 			t.Fatalf("parse %d ran in the parser whose callback panicked", i)
 		}
 	}
@@ -290,15 +347,15 @@ func TestParseScopedAbort(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	if err := ParseScoped(ctx, []byte("<p>x"), Options{}, func(*Result) { called = true }); err != context.Canceled || called {
+	if err := ParseScoped(ctx, []byte("<p>x"), Options{}, nil, func(*Result) { called = true }); err != context.Canceled || called {
 		t.Fatalf("canceled scoped parse: err %v, callback called %v", err, called)
 	}
 	deep := []byte(strings.Repeat("<div>", 100))
-	err := ParseScoped(context.Background(), deep, Options{MaxTreeDepth: 10}, func(*Result) { called = true })
+	err := ParseScoped(context.Background(), deep, Options{MaxTreeDepth: 10}, nil, func(*Result) { called = true })
 	if err != ErrTreeDepthExceeded || called {
 		t.Fatalf("over-deep scoped parse: err %v, callback called %v", err, called)
 	}
-	if err := ParseScoped(nil, []byte("<p>x"), Options{}, func(*Result) { called = true }); err != nil || !called {
+	if err := ParseScoped(nil, []byte("<p>x"), Options{}, nil, func(*Result) { called = true }); err != nil || !called {
 		t.Fatalf("nil-ctx scoped parse: err %v, callback called %v", err, called)
 	}
 }

@@ -131,9 +131,12 @@ type Tokenizer struct {
 
 	lastStartTag string
 
-	errors []ParseError
-	queue  []Token
-	qhead  int // queue read index; lets Next reuse the queue's backing array
+	// onError takes each parse error: to the observer in a Parser, into
+	// errors in a tokenizer from NewTokenizer.
+	onError func(ParseError)
+	errors  []ParseError
+	queue   []Token
+	qhead   int // queue read index; lets Next reuse the queue's backing array
 
 	// Token strings in progress. text is the pending character run, which
 	// starts at textPos; data is the current tag's name (until the tag is
@@ -244,7 +247,9 @@ func (a *strAcc) reset() { *a = strAcc{buf: a.buf[:0]} }
 // NewTokenizer returns a tokenizer over a preprocessed input stream (see
 // Preprocess). Standalone use gets automatic raw-text switching.
 func NewTokenizer(input []byte) *Tokenizer {
-	return &Tokenizer{input: input, state: stateData, AutoRaw: true}
+	z := &Tokenizer{input: input, state: stateData, AutoRaw: true}
+	z.onError = func(e ParseError) { z.errors = append(z.errors, e) }
+	return z
 }
 
 // Errors returns the parse errors recorded so far, in input order.
@@ -379,7 +384,7 @@ func makeSafeTable(unsafeBytes string, foldUpper bool) *[256]bool {
 }
 
 func (z *Tokenizer) parseError(code ErrorCode, detail string) {
-	z.errors = append(z.errors, ParseError{Code: code, Pos: z.pos, Detail: detail})
+	z.onError(ParseError{Code: code, Pos: z.pos, Detail: detail})
 }
 
 // ---- the pending character run ----

@@ -82,13 +82,10 @@ type treeBuilder struct {
 
 	skipLeadingNewline bool
 
-	errors []ParseError
-	events []TreeEvent
-
-	recordTokens bool
-	tokens       []Token
-	// onTag is Options.OnTag, handed the tokenizer's queue slot.
-	onTag func(*Token)
+	// obs receives every tag, parse error and event of the parse; ev is
+	// the event it is handed, valid only during the call.
+	obs Observer
+	ev  TreeEvent
 
 	// fragment, when non-nil, is the context element of the HTML fragment
 	// parsing algorithm; it stands in for the root as the adjusted current
@@ -116,30 +113,13 @@ type treeBuilder struct {
 	abort error
 }
 
-func newTreeBuilder(z *Tokenizer) *treeBuilder {
-	tb := &treeBuilder{
-		z:                z,
-		mode:             modeInitial,
-		framesetOK:       true,
-		scriptingEnabled: true,
-	}
-	tb.doc = tb.newNode()
-	tb.doc.Type = DocumentNode
-	z.AutoRaw = false
-	z.AllowCDATA = func() bool {
-		n := tb.currentNode()
-		return n != nil && n.Namespace != NamespaceHTML
-	}
-	return tb
-}
-
 // ackSelfClosing implements "acknowledge the token's self-closing flag".
 // Called by every handler the spec marks as acknowledging: void-element
 // insertions and self-closing foreign elements.
 func (tb *treeBuilder) ackSelfClosing() { tb.selfClosingAcked = true }
 
 func (tb *treeBuilder) parseError(code ErrorCode, detail string, pos int) {
-	tb.errors = append(tb.errors, ParseError{Code: code, Pos: pos, Detail: detail})
+	tb.obs.Error(ParseError{Code: code, Pos: pos, Detail: detail})
 }
 
 // nulPos locates the first literal NUL byte at or after the text token's
@@ -164,14 +144,9 @@ func (tb *treeBuilder) nulPos(t *Token) int {
 	return t.Pos + i
 }
 
-func (tb *treeBuilder) event(kind EventKind, detail string, ns Namespace, pos int) {
-	tb.events = append(tb.events, TreeEvent{Kind: kind, Detail: detail, Namespace: ns, Pos: pos})
-}
-
-// eventAttrs records an event together with the triggering token's
-// attributes (used by the metadata events that DM1/DM2 consume).
-func (tb *treeBuilder) eventAttrs(kind EventKind, detail string, pos int, attr []Attribute) {
-	tb.events = append(tb.events, TreeEvent{Kind: kind, Detail: detail, Namespace: NamespaceHTML, Pos: pos, Attr: attr})
+func (tb *treeBuilder) event(e TreeEvent) {
+	tb.ev = e
+	tb.obs.Event(&tb.ev)
 }
 
 func (tb *treeBuilder) currentNode() *Node {

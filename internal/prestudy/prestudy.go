@@ -43,7 +43,7 @@ func RunDynamic(g *corpus.Generator, snap corpus.Snapshot, n int) (*DynamicResul
 		siteRules := map[string]bool{}
 		for i := 0; i < count; i++ {
 			frag := g.DynamicFragment(domain, snap, i)
-			parsed, err := htmlparse.ParseFragmentReuse(frag, "div")
+			parsed, err := htmlparse.ParseFragment(frag, "div")
 			if err != nil {
 				return nil, err
 			}

@@ -72,7 +72,7 @@ func New(policy *Policy) *Sanitizer {
 // parsed this time*. Whether it stays harmless when the browser parses it
 // again is precisely the mutation XSS question.
 func (s *Sanitizer) Sanitize(input string) (string, error) {
-	res, err := htmlparse.ParseFragmentReuse([]byte(input), "div")
+	res, err := htmlparse.ParseFragment([]byte(input), "div")
 	if err != nil {
 		return "", err
 	}
