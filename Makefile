@@ -85,10 +85,9 @@ chaos:
 
 # Serving-layer chaos: the hvserve acceptance suite (overload bursts,
 # slowloris bodies, mid-request disconnects, hostile nesting, graceful
-# drain, goroutine/heap leak sweep) plus the tiered cache's
-# cancellation edge cases, all under the race detector.
+# drain, goroutine/heap leak sweep), all under the race detector.
 serve-chaos:
-	$(GO) test -race -count=1 -run 'TestServeChaos|TestTiered.*Cancel' ./internal/serve ./internal/commoncrawl
+	$(GO) test -race -count=1 -run TestServeChaos ./internal/serve
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -116,7 +115,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark run for the perf trajectory across PRs: the
-# parser, full-check, and archive-cache benchmarks folded into the
+# parser, full-check, and archive-read benchmarks folded into the
 # stable internal/perf schema (min of 5 runs per benchmark, git SHA +
 # date stamped inside the payload), one BENCH_<yyyymmdd>.json per day.
 bench-json:

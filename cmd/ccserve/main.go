@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	ccserve [-addr :8087] [-metrics :9091] [-cache-mb 64]
+//	ccserve [-addr :8087] [-metrics :9091]
 //	        [-dir ./archive | -domains 2400 -pages 20 -seed 22]
 package main
 
@@ -35,7 +35,6 @@ func main() {
 		drain   = flag.Duration("drain", 15*time.Second, "graceful drain budget on SIGTERM")
 		metrics = flag.String("metrics", "", "serve /metrics and /debug/pprof/ on this address (empty = off)")
 		dir     = flag.String("dir", "", "serve an hvgen-written archive directory")
-		cacheMB = flag.Int("cache-mb", 0, "in-memory read cache budget in MiB (0 = off)")
 		domains = flag.Int("domains", 2400, "synthetic: domain universe size")
 		pages   = flag.Int("pages", 20, "synthetic: max pages per domain")
 		seed    = flag.Int64("seed", 22, "synthetic: generator seed")
@@ -63,16 +62,6 @@ func main() {
 	if *metrics != "" {
 		reg = obs.NewRegistry()
 		archive = commoncrawl.Instrument(archive, reg)
-	}
-	if *cacheMB > 0 {
-		// Above the instrumented inner archive: reads_total stays the
-		// true backend traffic, cache_* the hit rate.
-		tiered := commoncrawl.NewTiered(archive, int64(*cacheMB)<<20)
-		if reg != nil {
-			tiered.Instrument(reg)
-		}
-		archive = tiered
-		log.Printf("read cache: %d MiB budget", *cacheMB)
 	}
 	if *metrics != "" {
 		srv, err := obs.StartServer(*metrics, reg)

@@ -1,5 +1,5 @@
 // Command hvbench records and gates the repo's benchmark trajectory:
-// the parser hot path, the full-catalogue check, the archive cache, the
+// the parser hot path, the full-catalogue check, the archive read, the
 // WARC fetch-and-decode path, and the serving layer's end-to-end request
 // latency.
 //

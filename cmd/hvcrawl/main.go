@@ -24,7 +24,7 @@
 //	hvcrawl -out results.jsonl -stats stats.json [-server http://...]
 //	        [-domains 2400 -pages 20 -seed 22] [-workers N] [-snapshots 8]
 //	        [-metrics :9090] [-retries N] [-resume] [-journal path]
-//	        [-max-domain-failures N] [-fix] [-cache-mb 64]
+//	        [-max-domain-failures N] [-fix]
 //
 // With -fix every analyzed page is additionally run through the
 // validated repair engine (internal/autofix); per-snapshot repair
@@ -72,7 +72,6 @@ type options struct {
 	journal   string
 	resume    bool
 	fix       bool
-	cacheMB   int
 }
 
 // statsFile is the persisted shape of -stats: the per-snapshot Table 2
@@ -101,7 +100,6 @@ func main() {
 	flag.StringVar(&o.journal, "journal", "", "resume journal path (default: <out>.journal)")
 	flag.BoolVar(&o.resume, "resume", false, "replay the journal and skip already-completed (crawl, domain) pairs")
 	flag.BoolVar(&o.fix, "fix", false, "measure machine repairability: run every analyzed page through the validated repair engine and aggregate outcomes per snapshot")
-	flag.IntVar(&o.cacheMB, "cache-mb", 0, "in-memory archive read cache budget in MiB (0 = off)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "hvcrawl:", err)
@@ -139,13 +137,6 @@ func run(o options) error {
 		log.Printf("archive: in-process synthetic (seed=%d)", o.seed)
 	}
 	archive = commoncrawl.Instrument(archive, reg)
-	if o.cacheMB > 0 {
-		// The cache sits above the instrumented inner archive, so the
-		// commoncrawl_reads_total counters keep measuring true backend
-		// traffic while the cache_* series measure hit rates.
-		archive = commoncrawl.NewTiered(archive, int64(o.cacheMB)<<20).Instrument(reg)
-		log.Printf("archive cache: %d MiB budget", o.cacheMB)
-	}
 
 	crawls := archive.Crawls()
 	if len(crawls) == 0 {

@@ -69,9 +69,6 @@ var strategies = []Strategy{
 	serializeStrategy("FB2", "inserted missing whitespace between attributes"),
 }
 
-// Strategies returns the registered strategies in application order.
-func Strategies() []Strategy { return strategies }
-
 // StrategyRuleIDs returns the rules the engine actually repairs — the
 // paper's FB/DM set plus the DE families with recoverable intent.
 func StrategyRuleIDs() []string {

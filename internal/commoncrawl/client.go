@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hvscan/hvscan/internal/cdx"
+	"github.com/hvscan/hvscan/internal/resilience"
 )
 
 // HTTPError is a non-2xx response from the archive server. It exposes
@@ -103,7 +104,11 @@ func (c *Client) Query(ctx context.Context, crawl, domain string, limit int) ([]
 	return out, sc.Err()
 }
 
-// ReadRange issues a ranged GET against the data endpoint.
+// ReadRange issues a ranged GET against the data endpoint. Only a 206
+// whose body is exactly length bytes is the record: a 200 means the
+// server ignored Range and sent the whole file (permanent, it will do
+// so again), and a short or long 206 body is a truncated or mangled
+// transfer (retryable).
 func (c *Client) ReadRange(ctx context.Context, filename string, offset, length int64) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/data/"+filename, nil)
 	if err != nil {
@@ -115,10 +120,23 @@ func (c *Client) ReadRange(ctx context.Context, filename string, offset, length 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusPartialContent && resp.StatusCode != http.StatusOK {
+	switch resp.StatusCode {
+	case http.StatusPartialContent:
+	case http.StatusOK:
+		return nil, resilience.Permanent(fmt.Errorf("commoncrawl: range read %s@%d: server %s ignored the Range header (status 200)",
+			filename, offset, c.base))
+	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, &HTTPError{Code: resp.StatusCode,
 			Op: fmt.Sprintf("range read %s@%d", filename, offset), Body: string(body)}
 	}
-	return io.ReadAll(resp.Body)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, length+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(b)) != length {
+		return nil, resilience.Retryable(fmt.Errorf("commoncrawl: range read %s@%d: got %d bytes, want %d",
+			filename, offset, len(b), length))
+	}
+	return b, nil
 }

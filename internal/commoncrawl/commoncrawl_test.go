@@ -12,6 +12,7 @@ import (
 
 	"github.com/hvscan/hvscan/internal/cdx"
 	"github.com/hvscan/hvscan/internal/corpus"
+	"github.com/hvscan/hvscan/internal/resilience"
 	"github.com/hvscan/hvscan/internal/warc"
 )
 
@@ -155,6 +156,48 @@ func TestServerEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing Range -> %d", resp.StatusCode)
+	}
+}
+
+// TestClientReadRangeRejectsWrongBytes pins that a range read returns
+// the requested bytes or an error, never some other bytes: a server
+// that ignores Range answers 200 with the whole file, which would
+// decode as the file's first record, and a 206 of the wrong length is
+// a mangled transfer. TestServerEndpoints reads exact ranges.
+func TestClientReadRangeRejectsWrongBytes(t *testing.T) {
+	const file = "0123456789abcdefghijklmnopqrstuv" // 32 bytes
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+		class   resilience.Class
+	}{
+		{"ignores Range", func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(file))
+		}, resilience.ClassPermanent},
+		{"short 206", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusPartialContent)
+			w.Write([]byte(file[16:20]))
+		}, resilience.ClassRetryable},
+		{"long 206", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusPartialContent)
+			w.Write([]byte(file[16:]))
+		}, resilience.ClassRetryable},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(tc.handler)
+			defer srv.Close()
+			b, err := NewClient(srv.URL).ReadRange(context.Background(), "f.warc.gz", 16, 10)
+			if err == nil {
+				t.Fatalf("ReadRange(16, 10) = %q with a nil error", b)
+			}
+			if got := resilience.Classify(err); got != tc.class {
+				t.Fatalf("error %v classifies as %s, want %s", err, got, tc.class)
+			}
+			if tc.class == resilience.ClassPermanent && !strings.Contains(err.Error(), srv.URL) {
+				t.Fatalf("error %v does not name the server", err)
+			}
+		})
 	}
 }
 

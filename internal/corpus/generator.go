@@ -30,12 +30,6 @@ func DefaultConfig() Config {
 	return Config{Seed: 22, Domains: 2400, MaxPages: 20}
 }
 
-// PaperScaleConfig returns the configuration matching the paper's scale.
-// Expect a long run: ~24.9K domains × up to 100 pages × 8 snapshots.
-func PaperScaleConfig() Config {
-	return Config{Seed: 22, Domains: 24915, MaxPages: 100}
-}
-
 // Generator renders the synthetic archive.
 type Generator struct {
 	cfg     Config

@@ -127,7 +127,7 @@ func TestTreeConstructionConformance(t *testing.T) {
 				// must have been recorded (extra errors are fine — the
 				// html5lib format historically under-counts).
 				for _, wantErr := range tc.errors {
-					if !res.HasError(ErrorCode(wantErr)) {
+					if !hasError(res, ErrorCode(wantErr)) {
 						t.Errorf("expected error %q not recorded; got %v", wantErr, res.Errors)
 					}
 				}

@@ -93,27 +93,6 @@ type Result struct {
 	Mode   QuirksMode
 }
 
-// HasError reports whether any recorded parse error carries the given code.
-func (r *Result) HasError(code ErrorCode) bool {
-	for i := range r.Errors {
-		if r.Errors[i].Code == code {
-			return true
-		}
-	}
-	return false
-}
-
-// EventsByKind returns all tree events of the given kind.
-func (r *Result) EventsByKind(kind EventKind) []TreeEvent {
-	var out []TreeEvent
-	for i := range r.Events {
-		if r.Events[i].Kind == kind {
-			out = append(out, r.Events[i])
-		}
-	}
-	return out
-}
-
 // Parse parses a text/html document with default options. It returns
 // ErrNotUTF8 for streams that do not decode as UTF-8 (which the
 // measurement pipeline filters out, per the paper's methodology); any

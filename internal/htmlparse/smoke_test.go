@@ -1,8 +1,25 @@
 package htmlparse
 
 import (
+	"slices"
 	"testing"
 )
+
+// hasError reports whether any recorded parse error in res carries code.
+func hasError(res *Result, code ErrorCode) bool {
+	return slices.ContainsFunc(res.Errors, func(e ParseError) bool { return e.Code == code })
+}
+
+// eventsByKind returns the tree events in res of the given kind.
+func eventsByKind(res *Result, kind EventKind) []TreeEvent {
+	var out []TreeEvent
+	for _, e := range res.Events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // TestSmokeBasicDocument exercises the whole stack on a well-formed page.
 func TestSmokeBasicDocument(t *testing.T) {
@@ -57,7 +74,7 @@ func TestSmokeErrorSignals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
-			if !res.HasError(tc.code) {
+			if !hasError(res, tc.code) {
 				t.Fatalf("want error %s, got %v", tc.code, res.Errors)
 			}
 		})
@@ -69,7 +86,7 @@ func TestSmokeFosterParenting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.EventsByKind(EventFosterParented); len(got) == 0 {
+	if got := eventsByKind(res, EventFosterParented); len(got) == 0 {
 		t.Fatalf("no foster parenting events: %v", res.Events)
 	}
 	strong := res.Doc.Find(func(n *Node) bool { return n.IsElement("strong") })
@@ -92,13 +109,13 @@ func TestSmokeImpliedHeadBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.EventsByKind(EventImpliedHead)) != 1 {
+	if len(eventsByKind(res, EventImpliedHead)) != 1 {
 		t.Fatalf("want implied head event, got %v", res.Events)
 	}
-	if len(res.EventsByKind(EventHeadBroken)) != 1 {
+	if len(eventsByKind(res, EventHeadBroken)) != 1 {
 		t.Fatalf("want head broken event (a element), got %v", res.Events)
 	}
-	if len(res.EventsByKind(EventImpliedBody)) != 1 {
+	if len(eventsByKind(res, EventImpliedBody)) != 1 {
 		t.Fatalf("want implied body event, got %v", res.Events)
 	}
 	// meta/title/style must be in head, a/p in body.
@@ -118,7 +135,7 @@ func TestSmokeTextareaEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, e := range res.EventsByKind(EventAutoClosedAtEOF) {
+	for _, e := range eventsByKind(res, EventAutoClosedAtEOF) {
 		if e.Detail == "textarea" {
 			found = true
 		}
@@ -141,7 +158,7 @@ func TestSmokeForeignContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := res.EventsByKind(EventForeignBreakout)
+	ev := eventsByKind(res, EventForeignBreakout)
 	if len(ev) != 1 || ev[0].Namespace != NamespaceSVG || ev[0].Detail != "div" {
 		t.Fatalf("breakout events = %v", res.Events)
 	}
@@ -159,7 +176,7 @@ func TestSmokeForeignContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev = res.EventsByKind(EventForeignElementInHTML)
+	ev = eventsByKind(res, EventForeignElementInHTML)
 	if len(ev) != 1 || ev[0].Detail != "path" || ev[0].Namespace != NamespaceSVG {
 		t.Fatalf("foreign-element-in-html events = %v", res.Events)
 	}

@@ -2,6 +2,7 @@ package htmlparse
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -167,11 +168,21 @@ type Tokenizer struct {
 // view into buf, which takes everything from then on. take hands out the
 // view itself or a copy of buf, so a plain run is never copied and, once
 // buf has grown, a transformed one allocates only its result.
+//
+// Past bigString bytes, a replaced character (addRune) that overflows buf
+// doubles it: growing buf for a long run of replaced characters then
+// allocates at most about four times the run's length, where append's
+// steps of a quarter allocate five. add and addString keep append's
+// growth, so that they stay inlined.
 type strAcc struct {
 	start, end int
 	copied     bool
 	buf        []byte //hv:view recycled scratch, reset to [:0] by take
 }
+
+// bigString is the buf size from which addRune doubles buf: far above any
+// typical token string, which keep append's growth.
+const bigString = 64 << 10
 
 //hv:hotpath emptiness test behind every text append
 func (a *strAcc) empty() bool { return !a.copied && a.start == a.end }
@@ -199,6 +210,11 @@ func (a *strAcc) add(in []byte, from, to int) {
 //hv:hotpath per-rune transformed append into recycled scratch
 func (a *strAcc) addRune(in []byte, r rune) {
 	a.spill(in)
+	if l, c := len(a.buf), cap(a.buf); l+utf8.UTFMax > c && l >= bigString {
+		// Asking for more than twice the capacity makes append allocate
+		// just that instead of stepping up by quarters.
+		a.buf = slices.Grow(a.buf, 2*c+utf8.UTFMax-l)
+	}
 	a.buf = utf8.AppendRune(a.buf, r)
 }
 

@@ -242,6 +242,25 @@ func TestTokenizeDoctype(t *testing.T) {
 	wantError(t, "<!DOCTYPEhtml>", ErrMissingWhitespaceBeforeDoctypeName)
 }
 
+// TestTokenizeBigTransformedStrings builds strings of replaced
+// characters past bigString, where addRune doubles the buffer, one after
+// another in the same accumulator: each comes out whole.
+func TestTokenizeBigTransformedStrings(t *testing.T) {
+	n := bigString / 2 // each NUL becomes three bytes of U+FFFD
+	nuls := strings.Repeat("\x00", n)
+	tokens, _ := tokenize(t, `<!DOCTYPE html PUBLIC "`+nuls+`" "`+nuls+`"><!--`+nuls+`-->`)
+	want := strings.Repeat("\uFFFD", n)
+	if len(tokens) != 2 {
+		t.Fatalf("got %d tokens, want 2", len(tokens))
+	}
+	if d := tokens[0]; d.PublicID != want || d.SystemID != want {
+		t.Fatalf("doctype ids of %d and %d bytes, want %d each", len(d.PublicID), len(d.SystemID), len(want))
+	}
+	if c := tokens[1]; c.Type != CommentToken || c.Data != want {
+		t.Fatalf("comment of %d bytes, want %d", len(c.Data), len(want))
+	}
+}
+
 func TestTokenizeRawText(t *testing.T) {
 	wantTokens(t, "<style>a<b</style>", "<style>", "#text:a<b", "</style>")
 	wantTokens(t, "<textarea></div></textarea>", "<textarea>", "#text:</div>", "</textarea>")

@@ -597,7 +597,7 @@ func TestTreeEOFAutoClose(t *testing.T) {
 		t.Fatal("li not flagged auto-closed")
 	}
 	var allowed, disallowed int
-	for _, e := range res.EventsByKind(EventAutoClosedAtEOF) {
+	for _, e := range eventsByKind(res, EventAutoClosedAtEOF) {
 		if e.Allowed {
 			allowed++
 		} else {

@@ -6,11 +6,10 @@ import (
 
 // Program is the whole-run view the driver builds before any analyzer
 // runs: every loaded package, the //hv: directive table, the
-// type-backed call graph, per-function escape/retention summaries, and
-// a cross-package fact store analyzers use to feed conclusions to each
-// other. Packages arrive in dependency order, so by the time an
-// analyzer's Run sees a package, the program-level tables already cover
-// everything it imports.
+// type-backed call graph and per-function escape/retention summaries.
+// Packages arrive in dependency order, so by the time an analyzer's Run
+// sees a package, the program-level tables already cover everything it
+// imports.
 type Program struct {
 	Packages []*Package
 
@@ -18,16 +17,10 @@ type Program struct {
 	directives map[string][]Directive
 	calls      map[string][]CallEdge
 	summaries  map[string]*FuncSummary
-	facts      map[factKey]any
 
 	// driver diagnostics produced while building (malformed //hv:
 	// directives), merged into the run's output.
 	diags []Diagnostic
-}
-
-type factKey struct {
-	name string // fact namespace, usually the exporting analyzer's name
-	key  string // ObjKey / FieldKey the fact is about
 }
 
 // BuildProgram assembles the program tables over pkgs. Run calls it;
@@ -39,7 +32,6 @@ func BuildProgram(pkgs []*Package) *Program {
 		directives: make(map[string][]Directive),
 		calls:      make(map[string][]CallEdge),
 		summaries:  make(map[string]*FuncSummary),
-		facts:      make(map[factKey]any),
 	}
 	for _, pkg := range pkgs {
 		prog.byPath[pkg.ImportPath] = pkg
@@ -77,11 +69,6 @@ func (prog *Program) HasDirective(key, verb string) bool {
 	return false
 }
 
-// DirectivesFor returns every //hv: directive attached to key.
-func (prog *Program) DirectivesFor(key string) []Directive {
-	return prog.directives[key]
-}
-
 // DirectiveKeys returns every key carrying a //hv:<verb> directive, for
 // analyzers that iterate roots (alloczone's hotpath set).
 func (prog *Program) DirectiveKeys(verb string) []string {
@@ -110,21 +97,6 @@ func (prog *Program) SummaryOf(fn *types.Func) *FuncSummary {
 		return nil
 	}
 	return prog.summaries[ObjKey(fn)]
-}
-
-// ExportFact records a conclusion about the object keyed by key under
-// the given namespace, for later passes (of this or another analyzer)
-// to import. Facts written while visiting a package are visible to
-// every package processed after it — the offline stand-in for the
-// x/tools Facts mechanism.
-func (prog *Program) ExportFact(name, key string, value any) {
-	prog.facts[factKey{name, key}] = value
-}
-
-// Fact returns the fact recorded under (name, key), if any.
-func (prog *Program) Fact(name, key string) (any, bool) {
-	v, ok := prog.facts[factKey{name, key}]
-	return v, ok
 }
 
 // IsViewFunc reports whether fn is marked //hv:view.

@@ -210,9 +210,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // cancellation; it is idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // InFlight returns the number of admitted, still-running checks.
 func (s *Server) InFlight() int { return s.pool.InFlight() }
 
