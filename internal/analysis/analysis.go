@@ -225,18 +225,7 @@ func (a *Analyzer) FixabilityFor(crawl string) Fixability {
 			continue
 		}
 		f.Violating++
-		fixable := true
-		for rule, n := range d.Violations {
-			if n == 0 {
-				continue
-			}
-			r, ok := core.RuleByID(rule)
-			if !ok || !r.AutoFixable {
-				fixable = false
-				break
-			}
-		}
-		if fixable {
+		if core.OnlyAutoFixable(d.Violations) {
 			f.OnlyAutoFixable++
 		}
 	}

@@ -174,11 +174,10 @@ func (rs *rounds) fail(uf ...Unfixable) {
 func applyStrategies(res *htmlparse.Result, rep *core.Report) []Fix {
 	var fixes []Fix
 	for _, s := range strategies {
-		id := s.RuleID()
-		if rep.RuleHits[id] == 0 {
+		if rep.RuleHits[s.RuleID] == 0 {
 			continue
 		}
-		tx := &Tx{Res: res, Findings: findingsFor(rep, id), ruleID: id}
+		tx := &Tx{Res: res, Findings: findingsFor(rep, s.RuleID), ruleID: s.RuleID}
 		s.Apply(tx)
 		fixes = append(fixes, tx.fixes...)
 	}
@@ -198,7 +197,7 @@ func findingsFor(rep *core.Report, id string) []core.Finding {
 
 func anyTargeted(rep *core.Report) bool {
 	for _, s := range strategies {
-		if rep.RuleHits[s.RuleID()] > 0 {
+		if rep.RuleHits[s.RuleID] > 0 {
 			return true
 		}
 	}
@@ -208,8 +207,8 @@ func anyTargeted(rep *core.Report) bool {
 func targetedIDs(rep *core.Report) []string {
 	var out []string
 	for _, s := range strategies {
-		if rep.RuleHits[s.RuleID()] > 0 {
-			out = append(out, s.RuleID())
+		if rep.RuleHits[s.RuleID] > 0 {
+			out = append(out, s.RuleID)
 		}
 	}
 	return out

@@ -150,7 +150,7 @@ func withStrategies(t *testing.T, s []Strategy) {
 // violation of a rule outside the registry must be caught by the re-parse
 // verification and the whole repair discarded.
 func TestRepairRejectsRegressingStrategy(t *testing.T) {
-	withStrategies(t, []Strategy{strategyFunc{"DM3", func(tx *Tx) {
+	withStrategies(t, []Strategy{{"DM3", func(tx *Tx) {
 		// Claims to fix DM3 but plants a nonce-stealing pattern (DE3_2,
 		// no strategy) in an attribute on the way out.
 		tx.Res.Doc.Walk(func(n *htmlparse.Node) bool {
@@ -184,7 +184,7 @@ func TestRepairRejectsRegressingStrategy(t *testing.T) {
 // a rule that keeps firing means no progress is possible; the engine must
 // stop after one round, not burn the full budget.
 func TestRepairStalledStrategyUnfixable(t *testing.T) {
-	withStrategies(t, []Strategy{strategyFunc{"DE3_3", func(tx *Tx) {}}})
+	withStrategies(t, []Strategy{{"DE3_3", func(tx *Tx) {}}})
 	in := "<!DOCTYPE html><html><head><title>t</title></head><body><a href=\"/x\" target=\"w\nleak\">x</a></body></html>"
 	r := repair(t, in)
 	if got := r.Outcome(); got != OutcomeUnfixable {

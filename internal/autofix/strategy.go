@@ -14,11 +14,11 @@ import (
 // strategy does is trusted: the engine re-parses the serialized output
 // and keeps the edits only if the targeted rule is gone and no other rule
 // got worse.
-type Strategy interface {
+type Strategy struct {
 	// RuleID is the catalogue rule this strategy repairs.
-	RuleID() string
+	RuleID string
 	// Apply performs the repair for this round's findings.
-	Apply(tx *Tx)
+	Apply func(tx *Tx)
 }
 
 // Tx is the context one strategy application runs in: the current round's
@@ -45,25 +45,17 @@ func (tx *Tx) Head() *htmlparse.Node {
 	return tx.Res.Doc.Find(func(n *htmlparse.Node) bool { return n.IsElement("head") })
 }
 
-type strategyFunc struct {
-	id    string
-	apply func(*Tx)
-}
-
-func (s strategyFunc) RuleID() string { return s.id }
-func (s strategyFunc) Apply(tx *Tx)   { s.apply(tx) }
-
 // strategies is the registry, in catalogue order. One strategy per
 // fixable rule family; the engine consults it for targeting, application
 // order, and the verification contract (strategy-covered rules must end
 // at zero).
 var strategies = []Strategy{
-	strategyFunc{"DE3_1", fixDE31},
-	strategyFunc{"DE3_3", fixDE33},
-	strategyFunc{"DM1", fixDM1},
-	strategyFunc{"DM2_1", fixDM21},
-	strategyFunc{"DM2_2", fixDM22},
-	strategyFunc{"DM2_3", fixDM23},
+	{"DE3_1", fixDE31},
+	{"DE3_3", fixDE33},
+	{"DM1", fixDM1},
+	{"DM2_1", fixDM21},
+	{"DM2_2", fixDM22},
+	{"DM2_3", fixDM23},
 	serializeStrategy("DM3", "dropped duplicate attribute"),
 	serializeStrategy("FB1", "replaced solidus attribute separator with whitespace"),
 	serializeStrategy("FB2", "inserted missing whitespace between attributes"),
@@ -74,7 +66,7 @@ var strategies = []Strategy{
 func StrategyRuleIDs() []string {
 	out := make([]string, len(strategies))
 	for i, s := range strategies {
-		out[i] = s.RuleID()
+		out[i] = s.RuleID
 	}
 	return out
 }
@@ -85,7 +77,7 @@ func StrategyRuleIDs() []string {
 // the serializer — so rendering is the repair. Apply records one fix per
 // finding; the re-parse verification then proves the claim.
 func serializeStrategy(id, desc string) Strategy {
-	return strategyFunc{id, func(tx *Tx) {
+	return Strategy{id, func(tx *Tx) {
 		for _, f := range tx.Findings {
 			d := desc
 			if f.Evidence != "" {
@@ -98,8 +90,8 @@ func serializeStrategy(id, desc string) Strategy {
 
 // fixDE31 repairs dangling-markup URL attributes by truncating the value
 // at the first newline — the same cut Chromium applies before issuing the
-// resource load. The rule matches the raw (pre-decoding) value, so the
-// predicate here mirrors de31Token exactly; attributes whose token never
+// resource load. It targets the attributes the rule's own predicate
+// matches on the raw (pre-decoding) value; attributes whose token never
 // reached the tree (dropped nested forms and the like) vanish in
 // serialization without an edit.
 func fixDE31(tx *Tx) {
@@ -109,10 +101,7 @@ func fixDE31(tx *Tx) {
 		}
 		for i := range n.Attr {
 			a := &n.Attr[i]
-			if a.Duplicate || !core.URLAttribute(a.Name) {
-				continue
-			}
-			if !strings.ContainsRune(a.RawValue, '\n') || !strings.ContainsRune(a.RawValue, '<') {
+			if a.Duplicate || !core.DanglingURL(a) {
 				continue
 			}
 			if truncateAttrAtNewline(a) {
@@ -128,15 +117,12 @@ func fixDE31(tx *Tx) {
 // the next navigation target.
 func fixDE33(tx *Tx) {
 	tx.Res.Doc.Walk(func(n *htmlparse.Node) bool {
-		if n.Type != htmlparse.ElementNode || !core.TargetAttributeTag(n.Data) {
+		if n.Type != htmlparse.ElementNode {
 			return true
 		}
 		for i := range n.Attr {
 			a := &n.Attr[i]
-			if a.Duplicate || a.Name != "target" {
-				continue
-			}
-			if !strings.ContainsRune(a.RawValue, '\n') {
+			if a.Duplicate || !core.DanglingTarget(n.Data, a) {
 				continue
 			}
 			if truncateAttrAtNewline(a) {
@@ -268,8 +254,8 @@ func basePlacedAfterURL(doc, base *htmlparse.Node) bool {
 			return false
 		}
 		if n.Type == htmlparse.ElementNode && !n.IsElement("base") {
-			for _, a := range n.Attr {
-				if core.URLAttribute(a.Name) && a.Value != "" {
+			for i := range n.Attr {
+				if core.URLConsuming(&n.Attr[i]) {
 					urlSeen = true
 					break
 				}

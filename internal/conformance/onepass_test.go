@@ -56,6 +56,9 @@ var onePassSeeds = []string{
 	"<template><style>x</style></template>",
 	"<svg></p><style>x</style>",
 	"<p><svg></p><style>x</style>",
+	// A dangling URL and "<script" in a value: the signals that are DE3_1's
+	// and DE3_2's outcomes, which a checker without those rules still sets.
+	"<img src='a\n<b>'><p title=\"x<SCRIPT y\">",
 	// After-head and in-body DM1/DM2_1 events and a base in the tree hold
 	// the event and element hooks to the replay path, in order.
 	"<!DOCTYPE html><html><head><title>t</title></head>\n<meta http-equiv=\"refresh\" content=\"5\">\n" +
@@ -63,7 +66,8 @@ var onePassSeeds = []string{
 }
 
 // onePassAgreement checks Check ≡ CheckTree ≡ CheckParsed(Parse) for
-// the full catalogue, and that CheckTree's Result records nothing; input
+// the full catalogue, that CheckTree's Result records nothing, and that
+// a checker of FB1 alone reports the full checker's signals; input
 // outside the UTF-8 domain must be rejected by both parses. It holds on
 // every input: all three run the same parser.
 func onePassAgreement(input []byte) error {
@@ -93,8 +97,19 @@ func onePassAgreement(input []byte) error {
 	if d := diffReports(oneRep, treeRep); d != "" {
 		return fmt.Errorf("Check vs CheckTree for %q: %s", input, d)
 	}
+	fb1, err := fb1Checker.Check(input)
+	if err != nil {
+		return err
+	}
+	if fb1.Signals != oneRep.Signals {
+		return fmt.Errorf("signals of %q: FB1 checker %+v, full checker %+v", input, fb1.Signals, oneRep.Signals)
+	}
 	return nil
 }
+
+// fb1Checker runs FB1 alone: the page signals must not depend on which
+// rules a checker reports.
+var fb1Checker = core.NewChecker("FB1")
 
 // scopedAgreement checks a, then b, then a again with Check on one
 // goroutine — each check builds its tree in the node slabs the one

@@ -208,8 +208,12 @@ func TestCheckedInCorpus(t *testing.T) {
 	}
 	r := NewRunner(skips)
 	for _, dir := range []string{"testdata/tree-construction", "../htmlparse/testdata/tree-construction"} {
+		before := len(r.report.Results)
 		if _, err := r.RunTreeDir(dir); err != nil {
 			t.Fatal(err)
+		}
+		if n := len(r.report.Results) - before; n < 40 {
+			t.Errorf("%s shrank to %d cases, want >= 40", dir, n)
 		}
 	}
 	if _, err := r.RunTokenDir("testdata/tokenizer"); err != nil {

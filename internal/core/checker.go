@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"strings"
 
 	"github.com/hvscan/hvscan/internal/htmlparse"
 	"github.com/hvscan/hvscan/internal/obs"
@@ -21,7 +20,10 @@ type Report struct {
 }
 
 // Signals captures page properties the paper's mitigation analysis (§4.5)
-// and general statistics (§4.2) report alongside the violations.
+// and general statistics (§4.2) report alongside the violations. Two of
+// them are rule outcomes: NewlineAndLtInURL is "DE3_1 found something"
+// and ScriptInAttribute is "DE3_2 found something". The rest come from
+// one token hook of the pass that is not a catalogue rule.
 type Signals struct {
 	// NewlineInURL: some URL-valued attribute contains a raw newline
 	// (West's 2017 measurement: 0.47% of page views).
@@ -64,23 +66,34 @@ func (r *Report) ViolatedIDs() []string {
 // OnlyAutoFixable reports whether every violation on the page belongs to
 // the automatically repairable classes (paper §4.4: a site is "quickly
 // fixable" if automation alone would clear it).
-func (r *Report) OnlyAutoFixable() bool {
-	if !r.HasViolation() {
-		return false
-	}
-	for id := range r.RuleHits {
-		rule, ok := RuleByID(id)
-		if !ok || !rule.AutoFixable {
+func (r *Report) OnlyAutoFixable() bool { return OnlyAutoFixable(r.RuleHits) }
+
+// OnlyAutoFixable reports whether some rule in hits (rule ID to count)
+// has a positive count and every such rule is AutoFixable. A page's
+// RuleHits and a domain's violation counts both take this test.
+func OnlyAutoFixable(hits map[string]int) bool {
+	violated := false
+	for id, n := range hits {
+		if n == 0 {
+			continue
+		}
+		if rule, ok := RuleByID(id); !ok || !rule.AutoFixable {
 			return false
 		}
+		violated = true
 	}
-	return true
+	return violated
 }
 
 // Checker runs a set of rules over pages. The zero value is not usable;
 // construct with NewChecker.
 type Checker struct {
 	rules []Rule
+	// runs is rules, followed by DE3_1 and DE3_2 when rules lack them:
+	// two page signals are those rules' outcomes, so every checker runs
+	// them, and reports only rules. de31 and de32 index their runs.
+	runs       []Rule
+	de31, de32 int
 	// hits, when instrumented, holds one counter per rule (parallel to
 	// rules); pages counts every document checked. Both stay nil on an
 	// uninstrumented checker, keeping the hot path a nil check.
@@ -93,7 +106,7 @@ type Checker struct {
 // ParseRuleIDs validates a user-supplied list first.
 func NewChecker(ids ...string) *Checker {
 	if len(ids) == 0 {
-		return &Checker{rules: Rules()}
+		return NewCheckerWith(Rules()...)
 	}
 	var rs []Rule
 	for _, id := range ids {
@@ -101,7 +114,7 @@ func NewChecker(ids ...string) *Checker {
 			rs = append(rs, r)
 		}
 	}
-	return &Checker{rules: rs}
+	return NewCheckerWith(rs...)
 }
 
 // NewCheckerWith returns a checker over an explicit rule list —
@@ -109,7 +122,22 @@ func NewChecker(ids ...string) *Checker {
 // tests use it to inject misbehaving rules; embedders use it to run
 // house rules beside the catalogue.
 func NewCheckerWith(rules ...Rule) *Checker {
-	return &Checker{rules: rules}
+	c := &Checker{rules: rules, runs: rules}
+	c.de31 = c.signalRun(ruleDE3_1)
+	c.de32 = c.signalRun(ruleDE3_2)
+	return c
+}
+
+// signalRun returns the index in c.runs of the run of the rule with r's
+// ID, first appending r as an unreported run when c's rules lack it.
+func (c *Checker) signalRun(r Rule) int {
+	for i, have := range c.runs {
+		if have.ID == r.ID {
+			return i
+		}
+	}
+	c.runs = append(c.runs[:len(c.runs):len(c.runs)], r)
+	return len(c.runs) - 1
 }
 
 // Rules returns the checker's rule set.
@@ -161,8 +189,10 @@ func (c *Checker) countHits(rep *Report) {
 // finished tree's elements. Rules and signals are computed by the same
 // code either way.
 type pass struct {
-	c     *Checker
-	rules []ruleRun // parallel to c.rules
+	c *Checker
+	// rules is parallel to c.runs, and one longer: the last run is the
+	// signals hook, which emits nothing.
+	rules []ruleRun
 	// tokens, errors, events and elements list the runs that have each
 	// hook, in catalogue order, so a tag, error, event or element visits
 	// only the rules that take it.
@@ -179,8 +209,9 @@ type ruleRun struct {
 }
 
 func (c *Checker) newPass() *pass {
-	ps := &pass{c: c, rules: make([]ruleRun, len(c.rules))}
-	for i, r := range c.rules {
+	ps := &pass{c: c, rules: make([]ruleRun, len(c.runs)+1)}
+	ps.rules[len(c.runs)].Token = ps.signalTag
+	for i, r := range c.runs {
 		if r.Stream == nil {
 			continue
 		}
@@ -188,9 +219,9 @@ func (c *Checker) newPass() *pass {
 		rr.RuleStream = r.Stream()
 		rr.emit = func(f Finding) { rr.found = append(rr.found, f) }
 	}
-	// The four lists share one array, sized for one hook per rule as in
+	// The four lists share one array, sized for one hook per run as in
 	// the catalogue.
-	hooks := make([]*ruleRun, 0, len(c.rules))
+	hooks := make([]*ruleRun, 0, len(ps.rules))
 	list := func(has func(*ruleRun) bool) []*ruleRun {
 		start := len(hooks)
 		for i := range ps.rules {
@@ -207,11 +238,8 @@ func (c *Checker) newPass() *pass {
 	return ps
 }
 
-// Tag feeds one start or end tag to the signals and every token hook.
+// Tag feeds one start or end tag to every token hook.
 func (ps *pass) Tag(t *htmlparse.Token) {
-	if t.Type == htmlparse.StartTagToken {
-		ps.sig.observe(t)
-	}
 	for _, rr := range ps.tokens {
 		rr.Token(t, rr.emit)
 	}
@@ -251,9 +279,9 @@ func (ps *pass) parsed(res *htmlparse.Result) {
 // report is the single report-assembly path: in catalogue order, each
 // rule contributes what its hooks emitted. It resolves the findings'
 // lines and columns against the parse's input, in one walk per page,
-// fills RuleHits, attaches the signals, and records the instrumented
-// counters, so the entry points cannot drift in how a Report is put
-// together.
+// fills RuleHits, attaches the signals, reading two of them off the
+// DE3_1 and DE3_2 runs, and records the instrumented counters, so the
+// entry points cannot drift in how a Report is put together.
 func (ps *pass) report(res *htmlparse.Result, url string) *Report {
 	c := ps.c
 	rep := &Report{URL: url, RuleHits: make(map[string]int, len(c.rules))}
@@ -265,6 +293,8 @@ func (ps *pass) report(res *htmlparse.Result, url string) *Report {
 	}
 	htmlparse.ResolvePositions(res.Input, rep.Findings, func(f *Finding) *htmlparse.Position { return &f.Pos })
 	rep.Signals = ps.sig
+	rep.Signals.NewlineAndLtInURL = len(ps.rules[c.de31].found) > 0
+	rep.Signals.ScriptInAttribute = len(ps.rules[c.de32].found) > 0
 	c.countHits(rep)
 	return rep
 }
@@ -327,36 +357,38 @@ func (c *Checker) CheckStreamContext(ctx context.Context, html []byte) (*Report,
 	return c.CheckContext(ctx, html, 0)
 }
 
-// observe folds one start tag into the signals. Every entry point calls
-// it once per start tag through pass.Tag, so all of them measure signals
-// with the same code.
+// signalTag is the token hook of the signals that no rule reports:
+// NewlineInURL, NonceScriptAffected, UsesMath and UsesSVG. It is the
+// last run of every pass and emits nothing.
 //
-//hv:hotpath runs once per start tag on every checking path
-func (s *Signals) observe(t *htmlparse.Token) {
+//hv:hotpath runs once per tag on every checking path
+func (ps *pass) signalTag(t *htmlparse.Token, _ func(Finding)) {
+	if t.Type != htmlparse.StartTagToken {
+		return
+	}
+	s := &ps.sig
 	switch t.Data {
 	case "math":
 		s.UsesMath = true
 	case "svg":
 		s.UsesSVG = true
+	case "script":
+		nonce, script := false, false
+		for i := range t.Attr {
+			nonce = nonce || t.Attr[i].Name == "nonce"
+			script = script || scriptInValue(&t.Attr[i])
+		}
+		if nonce && script {
+			s.NonceScriptAffected = true
+		}
 	}
-	hasNonce := false
-	hasScriptStr := false
-	for _, a := range t.Attr {
-		if urlAttributes[a.Name] && strings.ContainsRune(a.RawValue, '\n') {
+	if s.NewlineInURL {
+		return
+	}
+	for i := range t.Attr {
+		if newlineInURL(&t.Attr[i]) {
 			s.NewlineInURL = true
-			if strings.ContainsRune(a.RawValue, '<') {
-				s.NewlineAndLtInURL = true
-			}
+			return
 		}
-		if strings.Contains(strings.ToLower(a.RawValue), "<script") {
-			s.ScriptInAttribute = true
-			hasScriptStr = true
-		}
-		if a.Name == "nonce" {
-			hasNonce = true
-		}
-	}
-	if t.Data == "script" && hasNonce && hasScriptStr {
-		s.NonceScriptAffected = true
 	}
 }

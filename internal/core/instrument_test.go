@@ -78,3 +78,34 @@ func TestUninstrumentedCheckerHasNoCounters(t *testing.T) {
 		t.Fatal("nil report")
 	}
 }
+
+// TestSubsetCheckerSignalsUnreported: a checker of FB1 alone still sets
+// the signals that are DE3_1's and DE3_2's outcomes, and those rules'
+// runs reach no finding, rule hit or counter of its report.
+func TestSubsetCheckerSignalsUnreported(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewChecker("FB1").Instrument(reg)
+	rep, err := c.Check(wrap("<img src='https://e/?a=\n<b>'><iframe/srcdoc=\"<script>x()</script>\"></iframe>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Signals.NewlineAndLtInURL || !rep.Signals.ScriptInAttribute {
+		t.Fatalf("signals = %+v", rep.Signals)
+	}
+	for _, f := range rep.Findings {
+		if f.RuleID != "FB1" {
+			t.Errorf("unreported rule's finding in the report: %v", f)
+		}
+	}
+	if len(rep.RuleHits) != 1 || rep.RuleHits["FB1"] != 1 {
+		t.Errorf("rule hits = %v, want FB1 alone", rep.RuleHits)
+	}
+	for _, id := range []string{"DE3_1", "DE3_2"} {
+		if got := reg.Counter(fmt.Sprintf("core_rule_hits_total{rule=%q}", id)).Value(); got != 0 {
+			t.Errorf("%s counted %d hits", id, got)
+		}
+	}
+	if len(c.Rules()) != 1 {
+		t.Errorf("checker rules = %d, want FB1 alone", len(c.Rules()))
+	}
+}

@@ -24,15 +24,33 @@ var targetAttributeTags = map[string]bool{
 	"a": true, "area": true, "base": true, "form": true,
 }
 
-// URLAttribute reports whether name is an attribute whose value the
-// platform treats as a URL (the DE3_1/DM2_3 attribute set). Exported so
-// the repair engine's DE3_1 strategy matches the rule predicate exactly
-// instead of drifting on a private copy of the list.
-func URLAttribute(name string) bool { return urlAttributes[name] }
+// newlineInURL reports whether a is a URL attribute whose raw value
+// holds a newline (West's 2017 measurement; the NewlineInURL signal).
+func newlineInURL(a *htmlparse.Attribute) bool {
+	return strings.IndexByte(a.RawValue, '\n') >= 0 && urlAttributes[a.Name]
+}
 
-// TargetAttributeTag reports whether tag is an element whose target
-// attribute names a browsing context (the DE3_3 element set).
-func TargetAttributeTag(tag string) bool { return targetAttributeTags[tag] }
+// DanglingURL reports whether a is a URL attribute whose raw value holds
+// both a newline and '<': the DE3_1 condition, which Chromium blocks.
+// The repair engine's DE3_1 strategy targets exactly these attributes.
+func DanglingURL(a *htmlparse.Attribute) bool {
+	return newlineInURL(a) && strings.IndexByte(a.RawValue, '<') >= 0
+}
+
+// scriptInValue reports whether a's raw value holds "<script" in any
+// case: the DE3_2 condition, the nonce-stealing mitigation's trigger.
+// Lower-casing cannot make a '<', so a value without one is skipped
+// without the lower-cased copy.
+func scriptInValue(a *htmlparse.Attribute) bool {
+	return strings.IndexByte(a.RawValue, '<') >= 0 && strings.Contains(strings.ToLower(a.RawValue), "<script")
+}
+
+// DanglingTarget reports whether a, on an element named tag, is a target
+// attribute whose raw value holds a newline: the DE3_3 condition, which
+// the repair engine's DE3_3 strategy targets.
+func DanglingTarget(tag string, a *htmlparse.Attribute) bool {
+	return a.Name == "target" && targetAttributeTags[tag] && strings.IndexByte(a.RawValue, '\n') >= 0
+}
 
 // ruleDE1 detects textarea elements that were never terminated: the parser
 // closes them at EOF, so everything following the injection point —
@@ -72,11 +90,8 @@ func de31Token(t *htmlparse.Token, emit func(Finding)) {
 	if t.Type != htmlparse.StartTagToken {
 		return
 	}
-	for _, a := range t.Attr {
-		if !urlAttributes[a.Name] {
-			continue
-		}
-		if strings.ContainsRune(a.RawValue, '\n') && strings.ContainsRune(a.RawValue, '<') {
+	for i := range t.Attr {
+		if a := &t.Attr[i]; DanglingURL(a) {
 			emit(Finding{
 				RuleID: "DE3_1", Pos: htmlparse.Position{Offset: a.Pos},
 				Evidence: "<" + t.Data + " " + a.Name + "=" + truncate(a.RawValue, 80),
@@ -100,8 +115,8 @@ func de32Token(t *htmlparse.Token, emit func(Finding)) {
 	if t.Type != htmlparse.StartTagToken {
 		return
 	}
-	for _, a := range t.Attr {
-		if strings.Contains(strings.ToLower(a.RawValue), "<script") {
+	for i := range t.Attr {
+		if a := &t.Attr[i]; scriptInValue(a) {
 			emit(Finding{
 				RuleID: "DE3_2", Pos: htmlparse.Position{Offset: a.Pos},
 				Evidence: "<" + t.Data + " " + a.Name + "=" + truncate(a.RawValue, 80),
@@ -122,11 +137,11 @@ var ruleDE3_3 = Rule{
 }
 
 func de33Token(t *htmlparse.Token, emit func(Finding)) {
-	if t.Type != htmlparse.StartTagToken || !targetAttributeTags[t.Data] {
+	if t.Type != htmlparse.StartTagToken {
 		return
 	}
-	for _, a := range t.Attr {
-		if a.Name == "target" && strings.ContainsRune(a.RawValue, '\n') {
+	for i := range t.Attr {
+		if a := &t.Attr[i]; DanglingTarget(t.Data, a) {
 			emit(Finding{
 				RuleID: "DE3_3", Pos: htmlparse.Position{Offset: a.Pos},
 				Evidence: "<" + t.Data + " target=" + truncate(a.RawValue, 80),

@@ -17,6 +17,11 @@ func hasAttr(attrs []htmlparse.Attribute, name string) bool {
 	return false
 }
 
+// URLConsuming reports whether a is a URL attribute with a non-empty
+// value: an element carrying one consumes a URL, so a base after it
+// violates DM2_3. The repair engine's DM2_3 strategy tests the same.
+func URLConsuming(a *htmlparse.Attribute) bool { return a.Value != "" && urlAttributes[a.Name] }
+
 // ruleDM1 detects meta elements with an http-equiv attribute parsed
 // outside the head section. http-equiv can set cookies, redirect the user
 // or declare a CSP; the spec allows it only in head, yet the parsing
@@ -84,8 +89,8 @@ var ruleDM2_3 = Rule{
 				}
 				return
 			}
-			for _, a := range n.Attr {
-				if urlAttributes[a.Name] && a.Value != "" {
+			for i := range n.Attr {
+				if URLConsuming(&n.Attr[i]) {
 					urlSeen = true
 					return
 				}

@@ -90,9 +90,11 @@ func TestPipelineMetricsAccountForPages(t *testing.T) {
 	}
 
 	// The instrumented checker and archive share the registry and must
-	// agree with the pipeline's own counts.
-	if got, want := reg.Counter("core_pages_checked_total").Value(), m.Stage("check").Count(); got != want {
-		t.Errorf("checker pages = %d, pipeline check count = %d", got, want)
+	// agree with the pipeline's own counts. The check stage also times
+	// the pages the checker rejects as non-UTF-8, which it does not
+	// count as checked.
+	if got, nonUTF8, want := reg.Counter("core_pages_checked_total").Value(), m.Skipped("non-utf8").Value(), m.Stage("check").Count(); got+nonUTF8 != want {
+		t.Errorf("checker pages = %d + non-UTF-8 %d, pipeline check count = %d", got, nonUTF8, want)
 	}
 	if got, want := reg.Counter(`commoncrawl_queries_total{outcome="ok"}`).Value(),
 		uint64(len(domains)); got != want {

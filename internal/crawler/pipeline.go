@@ -28,12 +28,12 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"github.com/hvscan/hvscan/internal/autofix"
 	"github.com/hvscan/hvscan/internal/cdx"
 	"github.com/hvscan/hvscan/internal/commoncrawl"
 	"github.com/hvscan/hvscan/internal/core"
+	"github.com/hvscan/hvscan/internal/htmlparse"
 	"github.com/hvscan/hvscan/internal/obs"
 	"github.com/hvscan/hvscan/internal/resilience"
 	"github.com/hvscan/hvscan/internal/store"
@@ -338,53 +338,27 @@ func (p *Pipeline) RunSnapshot(ctx context.Context, crawl string, domains []stri
 			continue
 		}
 		done++
+		// A finished domain is folded from its journal entry, as a
+		// resumed run folds it; only the metrics differ.
+		e := store.JournalEntry{Crawl: crawl, Domain: dr.Domain, Result: dr}
 		if o.err != nil {
 			m.DomainErrors.Inc()
 			m.Res.ObserveError(o.class)
-			stats.DomainsFailed++
-			if stats.FailedByClass == nil {
-				stats.FailedByClass = make(map[string]int)
-			}
-			stats.FailedByClass[o.class.String()]++
-			// The partial work still counts: pages measured before the
-			// fault are real measurements (see FailedDomain).
-			stats.PagesFound += dr.PagesFound
-			stats.PagesAnalyzed += dr.PagesAnalyzed
-			stats.AbsorbFix(dr)
-			fd := store.FailedDomain{
-				Domain: dr.Domain, Class: o.class.String(), Err: truncErr(o.err),
-				PagesFound: dr.PagesFound, PagesAnalyzed: dr.PagesAnalyzed,
-			}
-			stats.Failed = append(stats.Failed, fd)
-			if jerr := p.journal(store.JournalEntry{
-				Crawl: crawl, Domain: dr.Domain,
-				Failed: true, Class: fd.Class, Error: fd.Err, Result: dr,
-			}); jerr != nil && failErr == nil {
-				failErr = jerr
-				cancel()
-			}
-			noteFailure(o)
-			if p.cfg.Progress != nil {
-				p.cfg.Progress(crawl, dr.Domain, done, total)
-			}
-			continue
+			e.Failed, e.Class, e.Error = true, o.class.String(), truncErr(o.err)
+		} else {
+			m.DomainsDone.Inc()
 		}
-		m.DomainsDone.Inc()
-		if dr.PagesFound > 0 {
-			stats.Found++
-		}
-		if dr.Analyzed() {
-			stats.Analyzed++
-			t0 := time.Now()
-			p.store.Put(dr)
+		t0 := time.Now()
+		p.fold(e, &stats)
+		if !e.Failed && dr.Analyzed() {
 			m.observeStage("store", t0)
 		}
-		stats.PagesFound += dr.PagesFound
-		stats.PagesAnalyzed += dr.PagesAnalyzed
-		stats.AbsorbFix(dr)
-		if jerr := p.journal(store.JournalEntry{Crawl: crawl, Domain: dr.Domain, Result: dr}); jerr != nil && failErr == nil {
+		if jerr := p.journal(e); jerr != nil && failErr == nil {
 			failErr = jerr
 			cancel()
+		}
+		if o.err != nil {
+			noteFailure(o)
 		}
 		if p.cfg.Progress != nil {
 			p.cfg.Progress(crawl, dr.Domain, done, total)
@@ -409,11 +383,19 @@ func (p *Pipeline) journal(e store.JournalEntry) error {
 	return nil
 }
 
-// replay folds one journaled completion into the stats (and, for
-// analyzed domains, the store) exactly as the live path would have.
+// replay folds one journaled completion exactly as the live path folded
+// it, and counts it as resumed.
 func (p *Pipeline) replay(e store.JournalEntry, stats *SnapshotStats) {
 	p.metrics.DomainsResumed.Inc()
 	stats.DomainsResumed++
+	p.fold(e, stats)
+}
+
+// fold adds one finished domain, as its journal entry records it, to the
+// stats and, when analyzed, to the store. A failed domain's partial work
+// still counts: pages measured before the fault are real measurements
+// (see FailedDomain).
+func (p *Pipeline) fold(e store.JournalEntry, stats *SnapshotStats) {
 	dr := e.Result
 	if e.Failed {
 		stats.DomainsFailed++
@@ -538,31 +520,27 @@ func (p *Pipeline) measureDomain(ctx context.Context, crawl, domain string, rank
 			m.skipped["oversize"].Inc()
 			continue
 		}
-		// Encoding filter (paper §4.1): only UTF-8-decodable documents.
-		if !utf8.Valid(cap.Body) {
-			m.skipped["non-utf8"].Inc()
-			continue
-		}
 		m.DocBytes.Observe(float64(len(cap.Body)))
 		t0 = time.Now()
 		rep, err := p.checkPage(cap.Body)
 		m.observeStage("check", t0)
-		if err != nil {
-			var pe *pagePanicError
-			if errors.As(err, &pe) {
-				// A checker panic on adversarial HTML is a per-page
-				// failure, not a process crash: record it and move on.
-				m.CheckPanics.Inc()
-				m.skipped["check-panic"].Inc()
-				dr.PagesFailed++
-				if len(dr.PageFailures) < maxPageFailures {
-					dr.PageFailures = append(dr.PageFailures,
-						fmt.Sprintf("%s: %v", rec.URL, err))
-				}
-				continue
-			}
+		if errors.Is(err, htmlparse.ErrNotUTF8) {
+			// Encoding filter (paper §4.1): only UTF-8-decodable
+			// documents. The checker's decode is the test.
 			m.skipped["non-utf8"].Inc()
-			continue // non-UTF-8 slipped through; same filter
+			continue
+		}
+		if err != nil {
+			// A checker panic on adversarial HTML is a per-page
+			// failure, not a process crash: record it and move on.
+			m.CheckPanics.Inc()
+			m.skipped["check-panic"].Inc()
+			dr.PagesFailed++
+			if len(dr.PageFailures) < maxPageFailures {
+				dr.PageFailures = append(dr.PageFailures,
+					fmt.Sprintf("%s: %v", rec.URL, err))
+			}
+			continue
 		}
 		dr.PagesAnalyzed++
 		m.PagesAnalyzed.Inc()

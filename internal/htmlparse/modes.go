@@ -183,14 +183,12 @@ func (tb *treeBuilder) initialIM(t *Token) bool {
 		*n = Node{Type: DoctypeNode, Data: t.Data, PublicID: t.PublicID, SystemID: t.SystemID, Pos: t.Pos}
 		tb.doc.AppendChild(n)
 		tb.quirksMode = quirksModeOf(t)
-		tb.quirks = tb.quirksMode == Quirks
 		tb.mode = modeBeforeHTML
 		return true
 	}
 	// Anything else: missing doctype — quirks mode.
 	tb.parseError(ErrUnexpectedTokenInInitialMode, "", t.Pos)
 	tb.quirksMode = Quirks
-	tb.quirks = true
 	tb.mode = modeBeforeHTML
 	return false
 }
@@ -666,7 +664,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.framesetOK = false
 		return true
 	case "table":
-		if !tb.quirks && tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.quirksMode != Quirks && tb.elementInScope(buttonScopeExtra, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)

@@ -87,10 +87,9 @@ type Result struct {
 	// and columns. Under ParseScoped it is valid only inside the
 	// callback, like Doc.
 	Input []byte
-	// Quirks reports full quirks mode; Mode carries the three-way
-	// classification (no-quirks / limited-quirks / quirks).
-	Quirks bool
-	Mode   QuirksMode
+	// Mode is the document's quirks mode (no-quirks / limited-quirks /
+	// quirks).
+	Mode QuirksMode
 }
 
 // Parse parses a text/html document with default options. It returns

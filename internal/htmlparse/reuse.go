@@ -78,11 +78,14 @@ func (p *Parser) reset(input []byte, obs Observer) {
 // keeps only the cleared ones.
 func (p *Parser) scrub() {
 	z := &p.z
-	// The accumulators empty themselves and keep their buffers.
-	z.text.reset()
-	z.data.reset()
-	z.name.reset()
-	z.value.reset()
+	// The accumulators empty themselves and keep their buffers, except
+	// one grown past bigString: an idle parser pins no such buffer.
+	for _, a := range [...]*strAcc{&z.text, &z.data, &z.name, &z.value} {
+		a.reset()
+		if cap(a.buf) > bigString {
+			a.buf = nil
+		}
+	}
 	*z = Tokenizer{
 		AllowCDATA: z.AllowCDATA,
 		onError:    z.onError,
@@ -148,7 +151,7 @@ func (p *Parser) parse(ctx context.Context, pre *Preprocessed, opts Options, obs
 		m.arenaSlabs.Add(uint64(p.tb.arena.slabs))
 		m.arenaNodes.Add(uint64(p.tb.arena.nodes))
 	}
-	return &Result{Doc: root, Input: pre.Input, Quirks: p.tb.quirks, Mode: p.tb.quirksMode}, nil
+	return &Result{Doc: root, Input: pre.Input, Mode: p.tb.quirksMode}, nil
 }
 
 // record is parse with a recorder as the observer: the one body of every

@@ -28,7 +28,7 @@ var reuseInputs = []string{
 func resultFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
 	s := DumpTree(r.Doc)
-	s += fmt.Sprintf("|quirks=%v|mode=%v|tokens=%d|events=%d", r.Quirks, r.Mode, len(r.Tokens), len(r.Events))
+	s += fmt.Sprintf("|mode=%v|tokens=%d|events=%d", r.Mode, len(r.Tokens), len(r.Events))
 	for _, e := range r.Errors {
 		s += fmt.Sprintf("|%s@%d", e.Code, e.Pos)
 	}

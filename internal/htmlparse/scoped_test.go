@@ -183,31 +183,52 @@ func reportSlices(v reflect.Value, path string, f func(string, int)) {
 // TestReleasedParserKeepsNoReports: a scoped parse of 1 MiB of NULs
 // reports about a million parse errors to its observer, and the released
 // parser holds no ParseError or TreeEvent capacity afterwards: errors and
-// events pass through the parser, they are not kept in it.
+// events pass through the parser, they are not kept in it. A scoped parse
+// of a 1 MiB doctype public ID of NULs grows a token string accumulator
+// to megabytes, and the released parser keeps no accumulator buffer
+// larger than bigString.
 func TestReleasedParserKeepsNoReports(t *testing.T) {
 	p := &Parser{}
-	var nuls hostileShape
-	for _, s := range hostileShapes {
-		if s.name == "text of NULs" {
-			nuls = s
+	scoped := func(name string) (c errorCounter) {
+		var shape hostileShape
+		for _, s := range hostileShapes {
+			if s.name == name {
+				shape = s
+			}
 		}
+		pre, err := Preprocess([]byte(shape.input(1 << 20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.parse(nil, pre, Options{}, &c, ""); err != nil {
+			t.Fatal(err)
+		}
+		p.tb.arena.recycle()
+		return c
 	}
-	pre, err := Preprocess([]byte(nuls.input(1 << 20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c errorCounter
-	if _, err := p.parse(nil, pre, Options{}, &c, ""); err != nil {
-		t.Fatal(err)
-	}
-	if c.errors < 1<<20 {
+	if c := scoped("text of NULs"); c.errors < 1<<20 {
 		t.Fatalf("observer saw %d errors, want one per NUL at least", c.errors)
 	}
-	p.tb.arena.recycle()
 	p.scrub()
 	reportSlices(reflect.ValueOf(p).Elem(), "Parser", func(path string, n int) {
 		t.Errorf("released parser keeps %s with capacity %d", path, n)
 	})
+
+	scoped("doctype public ID of NULs")
+	accs := map[string]*strAcc{"text": &p.z.text, "data": &p.z.data, "name": &p.z.name, "value": &p.z.value}
+	grown := 0
+	for _, a := range accs {
+		grown = max(grown, cap(a.buf))
+	}
+	if grown < 1<<20 {
+		t.Fatalf("the doctype parse grew no accumulator past 1 MiB (largest %d bytes)", grown)
+	}
+	p.scrub()
+	for name, a := range accs {
+		if cap(a.buf) > bigString {
+			t.Errorf("released parser keeps the %s accumulator's buffer of %d bytes", name, cap(a.buf))
+		}
+	}
 }
 
 // bigPage builds a document of about n nodes: n/2 paragraphs with one

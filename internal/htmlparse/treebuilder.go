@@ -68,7 +68,6 @@ type treeBuilder struct {
 	// without acknowledgment is the non-void-html-element-start-tag-
 	// with-trailing-solidus parse error.
 	selfClosingAcked bool
-	quirks           bool
 	quirksMode       QuirksMode
 	stopped          bool
 

@@ -67,10 +67,10 @@ func BuildExport(a *analysis.Analyzer, stats []store.CrawlStats) *Export {
 		e.Figure9 = append(e.Figure9, yc)
 	}
 	for g, pts := range a.GroupTrends() {
-		e.Groups[string(g)] = pctsOf(pts)
+		e.Groups[string(g)] = pcts(pts)
 	}
 	for rule, pts := range a.RuleTrends() {
-		e.Rules[rule] = pctsOf(pts)
+		e.Rules[rule] = pcts(pts)
 	}
 	u := a.UnionViolating()
 	e.Union = PaperComparison{Measured: u.Pct, Paper: analysis.PaperUnionViolatingPct}
@@ -78,14 +78,6 @@ func BuildExport(a *analysis.Analyzer, stats []store.CrawlStats) *Export {
 	e.Mitig = a.Mitigations()
 	e.Plan = a.DeprecationPlan(1.0, 25)
 	return e
-}
-
-func pctsOf(points []analysis.YearlyPoint) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = p.Pct
-	}
-	return out
 }
 
 // WriteJSON emits the export as indented JSON.
