@@ -1,6 +1,7 @@
 package autofix
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -8,12 +9,27 @@ import (
 	"testing"
 )
 
-// benchPage loads one of the shared parser benchmark pages.
+// benchPage loads one of the shared parser benchmark pages. "large" is
+// no file: it is typical.html with its body, from the first <body to the
+// last </body>, spliced in again until the page passes 200 KiB, the size
+// of the largest repair documents.
 func benchPage(tb testing.TB, name string) []byte {
 	tb.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "htmlparse", "testdata", "bench", name+".html"))
+	file := name
+	if name == "large" {
+		file = "typical"
+	}
+	data, err := os.ReadFile(filepath.Join("..", "htmlparse", "testdata", "bench", file+".html"))
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if name == "large" {
+		start, end := bytes.Index(data, []byte("<body")), bytes.LastIndex(data, []byte("</body>"))
+		page := slices.Clone(data[:end])
+		for len(page) < 200<<10 {
+			page = append(page, data[start:end]...)
+		}
+		data = append(page, data[end:]...)
 	}
 	return data
 }
@@ -31,7 +47,7 @@ func TestRepairBytesPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the byte bound is for the uninstrumented build")
 	}
-	// About 431 KB measured (go1.24, amd64); the parent of scoped
+	// About 334 KB measured (go1.24, amd64); the parent of scoped
 	// rounds allocated 1.65 MB.
 	const bound = 500_000
 	data := benchPage(t, "typical")
@@ -65,7 +81,7 @@ func TestRepairBytesPerCall(t *testing.T) {
 // benchmark pages: check, strategies, serialization and the candidate's
 // check per round.
 func BenchmarkRepair(b *testing.B) {
-	for _, name := range []string{"small", "typical", "pathological"} {
+	for _, name := range []string{"small", "typical", "pathological", "large"} {
 		data := benchPage(b, name)
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

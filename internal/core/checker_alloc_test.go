@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"os"
@@ -125,12 +126,27 @@ func TestCheckBytesPerCall(t *testing.T) {
 	}
 }
 
-// benchFixture loads one of the shared parser benchmark pages.
+// benchFixture loads one of the shared parser benchmark pages. "large"
+// is no file: it is typical.html with its body, from the first <body to
+// the last </body>, spliced in again until the page passes 200 KiB, the
+// size of the largest repair documents.
 func benchFixture(b *testing.B, name string) []byte {
 	b.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "htmlparse", "testdata", "bench", name+".html"))
+	file := name
+	if name == "large" {
+		file = "typical"
+	}
+	data, err := os.ReadFile(filepath.Join("..", "htmlparse", "testdata", "bench", file+".html"))
 	if err != nil {
 		b.Fatal(err)
+	}
+	if name == "large" {
+		start, end := bytes.Index(data, []byte("<body")), bytes.LastIndex(data, []byte("</body>"))
+		page := slices.Clone(data[:end])
+		for len(page) < 200<<10 {
+			page = append(page, data[start:end]...)
+		}
+		data = append(page, data[end:]...)
 	}
 	return data
 }
@@ -139,7 +155,7 @@ func benchFixture(b *testing.B, name string) []byte {
 // parser benchmark fixtures.
 func BenchmarkCheckFull(b *testing.B) {
 	c := NewChecker()
-	for _, name := range []string{"small", "typical", "pathological"} {
+	for _, name := range []string{"small", "typical", "pathological", "large"} {
 		data := benchFixture(b, name)
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

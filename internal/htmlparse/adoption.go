@@ -46,7 +46,7 @@ func (tb *treeBuilder) adoptionAgency(t *Token) {
 		fbIdx := -1
 		for i := stackIdx + 1; i < len(tb.stack); i++ {
 			n := tb.stack[i]
-			if n.Namespace == NamespaceHTML && specialElements[n.Data] {
+			if n.class&classSpecial != 0 {
 				fb = n
 				fbIdx = i
 				break
@@ -139,7 +139,7 @@ func (tb *treeBuilder) nodeInScope(target *Node) bool {
 			return true
 		}
 		if n.Namespace == NamespaceHTML {
-			if defaultScopeStop[n.Data] {
+			if n.class&classScopeStop != 0 {
 				return false
 			}
 		} else if isMathMLTextIntegrationPoint(n) || isHTMLIntegrationPoint(n) {

@@ -1,5 +1,7 @@
 package htmlparse
 
+import "unsafe"
+
 // nodeArena hands out Node values from chunked slabs, replacing one heap
 // allocation per node with one per arenaChunk nodes. Slabs are owned by
 // the document built from them (its nodes point into the slab arrays)
@@ -22,10 +24,17 @@ type nodeArena struct {
 
 const (
 	arenaChunk = 256
-	// keptSlabs bounds what an idle pooled Parser holds on to: 16 slabs
-	// of 256 nodes, 640 KiB, four thousand nodes. A page that builds more
-	// returns the rest to the GC.
-	keptSlabs = 16
+	// keptBytes bounds what an idle pooled Parser holds on to. At the
+	// 144-byte Node a slab is 36 KiB, so 4 MiB keeps 113 slabs, 28,928
+	// nodes. The bound was sized from repair documents of 8-256 KiB,
+	// whose trees reach about 16,000 nodes: the whole tree of the input's
+	// check goes back to the parser, and the check of the repaired
+	// candidate builds from it. The corpus pages of the study and serve
+	// workloads build at most about 130 nodes, one slab, so the bound
+	// does not change what those parsers hold. A page that builds more
+	// than the bound returns the rest to the GC.
+	keptBytes = 4 << 20
+	keptSlabs = keptBytes / (arenaChunk * int(unsafe.Sizeof(Node{})))
 )
 
 func (a *nodeArena) new() *Node {
@@ -54,6 +63,10 @@ func (a *nodeArena) grow() {
 // recycle clears every node the finished document used and keeps up to
 // keptSlabs of its slabs. Nothing may point into the document any more.
 func (a *nodeArena) recycle() {
+	if a.kept == nil {
+		// Sized once, so the kept list never outgrows the bound.
+		a.kept = make([][]Node, 0, keptSlabs)
+	}
 	last := len(a.used) - 1
 	for i, s := range a.used {
 		if i == last {

@@ -76,6 +76,42 @@ var buttonScopeExtra = newStringSet("button")
 // tableScopeStop is the stop set for "has an element in table scope".
 var tableScopeStop = newStringSet("html", "table", "template")
 
+// Element classes: the name sets above that the tree builder tests on
+// stack nodes, as bits. The tree builder sets an HTML element's class once,
+// when it creates the element, so a scope walk or a special-category test
+// reads a bit instead of hashing the tag name. Every other node (foreign
+// elements included) has class 0.
+const (
+	classSpecial        uint8 = 1 << iota // specialElements
+	classScopeStop                        // defaultScopeStop
+	classListItemScope                    // listItemScopeExtra
+	classButtonScope                      // buttonScopeExtra
+	classTableScopeStop                   // tableScopeStop
+	classImpliedEnd                       // impliedEndTags
+)
+
+// elementClasses maps an HTML tag name to its class bits; a name in none
+// of the sets is absent (class 0).
+var elementClasses = func() map[string]uint8 {
+	m := make(map[string]uint8)
+	for _, c := range [...]struct {
+		set  map[string]bool
+		bits uint8
+	}{
+		{specialElements, classSpecial},
+		{defaultScopeStop, classScopeStop},
+		{listItemScopeExtra, classListItemScope},
+		{buttonScopeExtra, classButtonScope},
+		{tableScopeStop, classTableScopeStop},
+		{impliedEndTags, classImpliedEnd},
+	} {
+		for name := range c.set {
+			m[name] |= c.bits
+		}
+	}
+	return m
+}()
+
 // tableContextTags is used when clearing the stack back to table context.
 var tableContextTags = newStringSet("table", "template", "html")
 

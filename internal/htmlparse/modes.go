@@ -226,7 +226,7 @@ func (tb *treeBuilder) beforeHTMLIM(t *Token) bool {
 		}
 	}
 	n := tb.newNode()
-	*n = Node{Type: ElementNode, Data: "html", Namespace: NamespaceHTML, Implied: true, Pos: t.Pos}
+	*n = Node{Type: ElementNode, Data: "html", Namespace: NamespaceHTML, Implied: true, Pos: t.Pos, class: elementClasses["html"]}
 	tb.doc.AppendChild(n)
 	tb.push(n)
 	tb.mode = modeBeforeHead
@@ -337,7 +337,7 @@ func (tb *treeBuilder) inHeadIM(t *Token) bool {
 			tb.mode = modeAfterHead
 			return true
 		case "template":
-			if tb.elementInScope(nil, "template") {
+			if tb.elementInScope(0, "template") {
 				tb.generateImpliedEndTags("")
 				tb.popUntil("template")
 				tb.clearAFEToMarker()
@@ -529,13 +529,13 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		"dialog", "dir", "div", "dl", "fieldset", "figcaption", "figure",
 		"footer", "header", "hgroup", "main", "menu", "nav", "ol", "p",
 		"search", "section", "summary", "ul":
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "h1", "h2", "h3", "h4", "h5", "h6":
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		if n := tb.currentNode(); n != nil && n.Namespace == NamespaceHTML {
@@ -548,7 +548,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "pre", "listing":
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
@@ -563,7 +563,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 			tb.event(TreeEvent{Kind: EventNestedForm, Pos: t.Pos})
 			return true
 		}
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.form = tb.insertElement(t, NamespaceHTML)
@@ -580,12 +580,12 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 				tb.popUntil("li")
 				break
 			}
-			if n.Namespace == NamespaceHTML && specialElements[n.Data] &&
+			if n.class&classSpecial != 0 &&
 				n.Data != "address" && n.Data != "div" && n.Data != "p" {
 				break
 			}
 		}
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
@@ -602,25 +602,25 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 				tb.popUntil("dd", "dt")
 				break
 			}
-			if n.Namespace == NamespaceHTML && specialElements[n.Data] &&
+			if n.class&classSpecial != 0 &&
 				n.Data != "address" && n.Data != "div" && n.Data != "p" {
 				break
 			}
 		}
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "plaintext":
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
 		tb.z.StartRawText("plaintext")
 		return true
 	case "button":
-		if tb.elementInScope(nil, "button") {
+		if tb.elementInScope(0, "button") {
 			tb.parseError(ErrUnexpectedStartTag, "button", t.Pos)
 			tb.generateImpliedEndTags("")
 			tb.popUntil("button")
@@ -649,7 +649,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		return true
 	case "nobr":
 		tb.reconstructAFE()
-		if tb.elementInScope(nil, "nobr") {
+		if tb.elementInScope(0, "nobr") {
 			tb.parseError(ErrAdoptionAgencyMisnesting, "nobr", t.Pos)
 			tb.adoptionAgency(&Token{Type: EndTagToken, Data: "nobr", Pos: t.Pos})
 			tb.reconstructAFE()
@@ -664,7 +664,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.framesetOK = false
 		return true
 	case "table":
-		if tb.quirksMode != Quirks && tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.quirksMode != Quirks && tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
@@ -693,7 +693,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.ackSelfClosing()
 		return true
 	case "hr":
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.insertElement(t, NamespaceHTML)
@@ -711,7 +711,7 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.framesetOK = false
 		return true
 	case "xmp":
-		if tb.elementInScope(buttonScopeExtra, "p") {
+		if tb.elementInScope(classButtonScope, "p") {
 			tb.closePElement()
 		}
 		tb.reconstructAFE()
@@ -752,13 +752,13 @@ func (tb *treeBuilder) inBodyStartTag(t *Token) bool {
 		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "rb", "rtc":
-		if tb.elementInScope(nil, "ruby") {
+		if tb.elementInScope(0, "ruby") {
 			tb.generateImpliedEndTags("")
 		}
 		tb.insertElement(t, NamespaceHTML)
 		return true
 	case "rp", "rt":
-		if tb.elementInScope(nil, "ruby") {
+		if tb.elementInScope(0, "ruby") {
 			tb.generateImpliedEndTags("rtc")
 		}
 		tb.insertElement(t, NamespaceHTML)
@@ -807,14 +807,14 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 	case "template":
 		return tb.inHeadIM(t)
 	case "body":
-		if !tb.elementInScope(nil, "body") {
+		if !tb.elementInScope(0, "body") {
 			tb.parseError(ErrUnexpectedEndTag, "body", t.Pos)
 			return true
 		}
 		tb.mode = modeAfterBody
 		return true
 	case "html":
-		if !tb.elementInScope(nil, "body") {
+		if !tb.elementInScope(0, "body") {
 			tb.parseError(ErrUnexpectedEndTag, "html", t.Pos)
 			return true
 		}
@@ -824,7 +824,7 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 		"details", "dialog", "dir", "div", "dl", "fieldset", "figcaption",
 		"figure", "footer", "header", "hgroup", "listing", "main", "menu",
 		"nav", "ol", "pre", "search", "section", "summary", "ul":
-		if !tb.elementInScope(nil, t.Data) {
+		if !tb.elementInScope(0, t.Data) {
 			tb.parseError(ErrUnexpectedEndTag, t.Data, t.Pos)
 			return true
 		}
@@ -837,7 +837,7 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 	case "form":
 		node := tb.form
 		tb.form = nil
-		if node == nil || tb.indexOnStack(node) < 0 || !tb.elementInScope(nil, "form") {
+		if node == nil || tb.indexOnStack(node) < 0 || !tb.elementInScope(0, "form") {
 			tb.parseError(ErrUnexpectedEndTag, "form", t.Pos)
 			return true
 		}
@@ -848,14 +848,14 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 		tb.removeFromStack(node)
 		return true
 	case "p":
-		if !tb.elementInScope(buttonScopeExtra, "p") {
+		if !tb.elementInScope(classButtonScope, "p") {
 			tb.parseError(ErrUnexpectedEndTag, "p", t.Pos)
 			tb.insertImplied("p", t.Pos)
 		}
 		tb.closePElement()
 		return true
 	case "li":
-		if !tb.elementInScope(listItemScopeExtra, "li") {
+		if !tb.elementInScope(classListItemScope, "li") {
 			tb.parseError(ErrUnexpectedEndTag, "li", t.Pos)
 			return true
 		}
@@ -866,7 +866,7 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 		tb.popUntil("li")
 		return true
 	case "dd", "dt":
-		if !tb.elementInScope(nil, t.Data) {
+		if !tb.elementInScope(0, t.Data) {
 			tb.parseError(ErrUnexpectedEndTag, t.Data, t.Pos)
 			return true
 		}
@@ -877,7 +877,7 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 		tb.popUntil(t.Data)
 		return true
 	case "h1", "h2", "h3", "h4", "h5", "h6":
-		if !tb.elementInScope(nil, "h1", "h2", "h3", "h4", "h5", "h6") {
+		if !tb.elementInScope(0, "h1", "h2", "h3", "h4", "h5", "h6") {
 			tb.parseError(ErrUnexpectedEndTag, t.Data, t.Pos)
 			return true
 		}
@@ -892,7 +892,7 @@ func (tb *treeBuilder) inBodyEndTag(t *Token) bool {
 		tb.adoptionAgency(t)
 		return true
 	case "applet", "marquee", "object":
-		if !tb.elementInScope(nil, t.Data) {
+		if !tb.elementInScope(0, t.Data) {
 			tb.parseError(ErrUnexpectedEndTag, t.Data, t.Pos)
 			return true
 		}
@@ -929,7 +929,7 @@ func (tb *treeBuilder) anyOtherEndTag(t *Token) {
 			}
 			return
 		}
-		if node.Namespace == NamespaceHTML && specialElements[node.Data] {
+		if node.class&classSpecial != 0 {
 			tb.parseError(ErrUnexpectedEndTag, t.Data, t.Pos)
 			tb.event(TreeEvent{Kind: EventIgnoredToken, Detail: "/" + t.Data, Pos: t.Pos})
 			return

@@ -71,6 +71,11 @@ type Node struct {
 	// FosterParented marks an element or text node that the parser moved
 	// in front of a table (the HF4 signal).
 	FosterParented bool
+
+	// class holds an HTML element's class bits (elementClasses), set by
+	// the tree builder when it creates the element; 0 on every other node.
+	// It fits the padding after the bools, so Node stays 144 bytes.
+	class uint8
 }
 
 // AppendChild adds c as the last child of n. c must not already have a

@@ -121,10 +121,10 @@ func ParseFragment(b []byte, context string) (*Result, error) {
 // tokenizer content model.
 func (tb *treeBuilder) setupFragment(context string) (root *Node) {
 	ctx := tb.newNode()
-	*ctx = Node{Type: ElementNode, Data: context, Namespace: NamespaceHTML}
+	*ctx = Node{Type: ElementNode, Data: context, Namespace: NamespaceHTML, class: elementClasses[context]}
 	tb.fragment = ctx
 	root = tb.newNode()
-	*root = Node{Type: ElementNode, Data: "html", Namespace: NamespaceHTML, Implied: true}
+	*root = Node{Type: ElementNode, Data: "html", Namespace: NamespaceHTML, Implied: true, class: elementClasses["html"]}
 	tb.doc.AppendChild(root)
 	tb.push(root)
 	tb.resetModeForFragment(context)

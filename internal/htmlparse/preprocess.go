@@ -33,14 +33,11 @@ type Preprocessed struct {
 // NUL bytes are preserved here; the tokenizer handles them per-state
 // (unexpected-null-character).
 func Preprocess(b []byte) (*Preprocessed, error) {
-	if !utf8.Valid(b) {
-		return nil, ErrNotUTF8
-	}
 	p := &Preprocessed{Input: make([]byte, 0, len(b))}
 	for i := 0; i < len(b); {
-		// Bulk-copy runs of plain ASCII (no normalization, no stream error,
-		// no line break) in one append; the rune-at-a-time path below only
-		// sees newlines, CRs, controls and non-ASCII.
+		// Bulk-copy runs of plain ASCII (no normalization, no stream
+		// error) in one append; the rune-at-a-time path below only sees
+		// CRs, controls and non-ASCII.
 		if j := i; preSafe[b[j]] {
 			for j++; j < len(b) && preSafe[b[j]]; j++ {
 			}
@@ -50,6 +47,11 @@ func Preprocess(b []byte) (*Preprocessed, error) {
 		}
 		r, size := utf8.DecodeRune(b[i:])
 		switch {
+		case r == utf8.RuneError && size == 1:
+			// An invalid or truncated sequence, or an encoded surrogate:
+			// exactly what utf8.Valid rejects. A literal U+FFFD decodes
+			// with size 3.
+			return nil, ErrNotUTF8
 		case r == '\r':
 			// CRLF -> LF, lone CR -> LF.
 			if i+1 < len(b) && b[i+1] == '\n' {
@@ -70,13 +72,13 @@ func Preprocess(b []byte) (*Preprocessed, error) {
 }
 
 // preSafe marks the bytes Preprocess may copy verbatim without
-// normalization or error checks: printable ASCII plus TAB, FF and NUL (NUL
-// passes through here — the tokenizer flags it per-state).
+// normalization or error checks: printable ASCII plus TAB, LF, FF and NUL
+// (NUL passes through here — the tokenizer flags it per-state).
 var preSafe = makePreSafeTable()
 
 func makePreSafeTable() *[256]bool {
 	var t [256]bool
-	t[0x00], t['\t'], t['\f'] = true, true, true
+	t[0x00], t['\t'], t['\n'], t['\f'] = true, true, true, true
 	for b := 0x20; b < 0x7F; b++ {
 		t[b] = true
 	}

@@ -237,19 +237,21 @@ func bigPage(n int) []byte {
 	return []byte("<!doctype html><body>" + strings.Repeat("<p>x</p>", n/2))
 }
 
-// TestScopedParseKeepsBoundedSlabs: a scoped parse of a 10,000-node page
-// leaves the parser holding at most keptSlabs slabs, and the next parse —
-// scoped or not — builds from them without allocating a slab.
+// TestScopedParseKeepsBoundedSlabs: a scoped parse of a page that builds
+// twice the bound's nodes leaves the parser holding exactly keptSlabs
+// slabs, and the next parse — scoped or not — builds from them without
+// allocating a slab.
 func TestScopedParseKeepsBoundedSlabs(t *testing.T) {
 	p := &Parser{}
-	pre, err := Preprocess(bigPage(10000))
+	big := 2 * keptSlabs * arenaChunk
+	pre, err := Preprocess(bigPage(big))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.parse(nil, pre, Options{}, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if n := p.tb.arena.nodes; n < 10000 {
+	if n := p.tb.arena.nodes; n < big {
 		t.Fatalf("big page built only %d nodes", n)
 	}
 	p.tb.arena.recycle()
@@ -280,6 +282,34 @@ func TestScopedParseKeepsBoundedSlabs(t *testing.T) {
 		if got := len(p.tb.arena.kept); got != want {
 			t.Fatalf("scoped=%v: %d kept slabs after the parse, want %d", scoped, got, want)
 		}
+	}
+}
+
+// TestScopedRecheckAllocatesNoSlab: the second scoped parse of a
+// 16,000-node page, the size of the largest repair documents, builds its
+// whole tree from the slabs the first one gave back.
+func TestScopedRecheckAllocatesNoSlab(t *testing.T) {
+	p := &Parser{}
+	for i := range 2 {
+		pre, err := Preprocess(bigPage(16000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.parse(nil, pre, Options{}, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		nodes, slabs := p.tb.arena.nodes, p.tb.arena.slabs
+		if nodes < 16000 {
+			t.Fatalf("page built only %d nodes", nodes)
+		}
+		if want := (nodes + arenaChunk - 1) / arenaChunk; i == 0 && slabs != want {
+			t.Fatalf("first parse allocated %d slabs, want %d", slabs, want)
+		}
+		if i == 1 && slabs != 0 {
+			t.Fatalf("second parse allocated %d slabs, want 0", slabs)
+		}
+		p.tb.arena.recycle()
+		p.scrub()
 	}
 }
 

@@ -287,6 +287,10 @@ func (z *Tokenizer) next() rune {
 	if z.pos >= len(z.input) {
 		return eofRune
 	}
+	if c := z.input[z.pos]; c < utf8.RuneSelf {
+		z.pos++
+		return rune(c)
+	}
 	r, size := utf8.DecodeRune(z.input[z.pos:])
 	z.pos += size
 	return r
@@ -303,6 +307,9 @@ func (z *Tokenizer) back() {
 func (z *Tokenizer) peek() rune {
 	if z.pos >= len(z.input) {
 		return eofRune
+	}
+	if c := z.input[z.pos]; c < utf8.RuneSelf {
+		return rune(c)
 	}
 	r, _ := utf8.DecodeRune(z.input[z.pos:])
 	return r

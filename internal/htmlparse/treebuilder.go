@@ -208,9 +208,10 @@ func (tb *treeBuilder) indexOnStack(n *Node) int {
 }
 
 // elementInScope implements the "has an element in scope" family. extra
-// widens the stop set (list-item scope, button scope); nil means the
-// default scope.
-func (tb *treeBuilder) elementInScope(extra map[string]bool, tags ...string) bool {
+// is a class mask that widens the stop set (classListItemScope,
+// classButtonScope); 0 means the default scope.
+func (tb *treeBuilder) elementInScope(extra uint8, tags ...string) bool {
+	stop := classScopeStop | extra
 	for i := len(tb.stack) - 1; i >= 0; i-- {
 		n := tb.stack[i]
 		if n.Namespace == NamespaceHTML {
@@ -219,7 +220,7 @@ func (tb *treeBuilder) elementInScope(extra map[string]bool, tags ...string) boo
 					return true
 				}
 			}
-			if defaultScopeStop[n.Data] || (extra != nil && extra[n.Data]) {
+			if n.class&stop != 0 {
 				return false
 			}
 		} else {
@@ -244,7 +245,7 @@ func (tb *treeBuilder) elementInTableScope(tags ...string) bool {
 				return true
 			}
 		}
-		if tableScopeStop[n.Data] {
+		if n.class&classTableScopeStop != 0 {
 			return false
 		}
 	}
@@ -358,7 +359,7 @@ func (tb *treeBuilder) newNode() *Node { return tb.arena.new() }
 // children/links), allocated from the arena like every other node.
 func (tb *treeBuilder) cloneNode(n *Node) *Node {
 	c := tb.newNode()
-	*c = Node{Type: n.Type, Data: n.Data, Namespace: n.Namespace, Pos: n.Pos}
+	*c = Node{Type: n.Type, Data: n.Data, Namespace: n.Namespace, Pos: n.Pos, class: n.class}
 	c.Attr = append([]Attribute(nil), n.Attr...)
 	return c
 }
@@ -366,6 +367,9 @@ func (tb *treeBuilder) cloneNode(n *Node) *Node {
 func (tb *treeBuilder) createElement(t *Token, ns Namespace) *Node {
 	n := tb.newNode()
 	*n = Node{Type: ElementNode, Data: t.Data, Namespace: ns, Pos: t.Pos}
+	if ns == NamespaceHTML {
+		n.class = elementClasses[t.Data]
+	}
 	dup := false
 	for i := range t.Attr {
 		if t.Attr[i].Duplicate {
@@ -391,7 +395,7 @@ func (tb *treeBuilder) createElement(t *Token, ns Namespace) *Node {
 // insertImplied synthesizes an element with no corresponding start tag.
 func (tb *treeBuilder) insertImplied(tag string, pos int) *Node {
 	n := tb.newNode()
-	*n = Node{Type: ElementNode, Data: tag, Namespace: NamespaceHTML, Implied: true, Pos: pos}
+	*n = Node{Type: ElementNode, Data: tag, Namespace: NamespaceHTML, Implied: true, Pos: pos, class: elementClasses[tag]}
 	tb.insertNode(n)
 	tb.push(n)
 	return n
@@ -457,7 +461,7 @@ func (tb *treeBuilder) insertComment(t *Token, parent *Node) {
 func (tb *treeBuilder) generateImpliedEndTags(except string) {
 	for {
 		n := tb.currentNode()
-		if n == nil || n.Namespace != NamespaceHTML || !impliedEndTags[n.Data] || n.Data == except {
+		if n == nil || n.class&classImpliedEnd == 0 || n.Data == except {
 			return
 		}
 		tb.pop()
