@@ -56,8 +56,8 @@ fix-conform-update:
 # corpora, the serializer against its reference, the position resolver
 # against a per-offset reference, the fragment parser (which shares the
 # recording body with Parse), the one-pass input preprocessor against the
-# two-pass one it replaced, plus the pooled WARC decoder against a fresh
-# one.
+# two-pass one it replaced, the standalone tokenizer against its livelock
+# bound (FuzzTokenizer), plus the pooled WARC decoder against a fresh one.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzRenderParseFixpoint$$' -fuzztime=30s ./internal/conformance
 	$(GO) test -run '^$$' -fuzz='^FuzzTruncationStability$$' -fuzztime=30s ./internal/conformance
@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzResolvePositions$$' -fuzztime=30s ./internal/htmlparse
 	$(GO) test -run '^$$' -fuzz='^FuzzParseFragment$$' -fuzztime=30s ./internal/htmlparse
 	$(GO) test -run '^$$' -fuzz='^FuzzPreprocess$$' -fuzztime=30s ./internal/htmlparse
+	$(GO) test -run '^$$' -fuzz='^FuzzTokenizer$$' -fuzztime=30s ./internal/htmlparse
 	$(GO) test -run '^$$' -fuzz='^FuzzReadRecordAt$$' -fuzztime=30s ./internal/warc
 
 # The end-to-end benchmark's own tests, under the race detector. perfbench

@@ -33,13 +33,6 @@ var specialElements = newStringSet(
 	"th", "thead", "title", "tr", "track", "ul", "wbr", "xmp",
 )
 
-// formattingElements participate in the list of active formatting elements
-// and the adoption agency algorithm.
-var formattingElements = newStringSet(
-	"a", "b", "big", "code", "em", "font", "i", "nobr", "s", "small",
-	"strike", "strong", "tt", "u",
-)
-
 // headElements are the elements the spec allows inside <head>.
 var headElements = newStringSet(
 	"base", "basefont", "bgsound", "link", "meta", "noframes", "noscript",

@@ -33,6 +33,8 @@ const (
 	stateScriptDataEndTagName
 	stateScriptDataEscapeStart
 	stateScriptDataEscapeStartDash
+	// Each escape level's states run plain, dash, dash-dash, less-than in
+	// this order: scriptEscapedState finds them by offset from the first.
 	stateScriptDataEscaped
 	stateScriptDataEscapedDash
 	stateScriptDataEscapedDashDash
@@ -49,9 +51,7 @@ const (
 	stateAttributeName
 	stateAfterAttributeName
 	stateBeforeAttributeValue
-	stateAttributeValueDoubleQuoted
-	stateAttributeValueSingleQuoted
-	stateAttributeValueUnquoted
+	stateAttributeValue
 	stateAfterAttributeValueQuoted
 	stateSelfClosingStartTag
 	stateBogusComment
@@ -72,14 +72,12 @@ const (
 	stateAfterDoctypeName
 	stateAfterDoctypePublicKeyword
 	stateBeforeDoctypePublicIdentifier
-	stateDoctypePublicIdentifierDoubleQuoted
-	stateDoctypePublicIdentifierSingleQuoted
+	stateDoctypePublicIdentifier
 	stateAfterDoctypePublicIdentifier
 	stateBetweenDoctypePublicAndSystemIdentifiers
 	stateAfterDoctypeSystemKeyword
 	stateBeforeDoctypeSystemIdentifier
-	stateDoctypeSystemIdentifierDoubleQuoted
-	stateDoctypeSystemIdentifierSingleQuoted
+	stateDoctypeSystemIdentifier
 	stateAfterDoctypeSystemIdentifier
 	stateBogusDoctype
 	stateCDATASection
@@ -149,8 +147,10 @@ type Tokenizer struct {
 	cur Token
 
 	attrPending bool
-	attrQuote   byte
 	attrPos     int
+	// quote is the quote that opened the attribute value or doctype
+	// identifier in progress, 0 for an unquoted value.
+	quote byte
 	// valStart is the offset of the current attribute value's first byte,
 	// or -1 while the attribute has no value.
 	valStart int
@@ -385,8 +385,13 @@ var tagNameSafe = makeSafeTable("\x00\t\n\f\r />", true)
 var attrNameSafe = makeSafeTable("\x00\t\n\f\r />=\"'<", true)
 
 // unquotedValueSafe stops at whitespace, '&', '>', NUL and the characters
-// that raise unexpected-character-in-unquoted-attribute-value.
-var unquotedValueSafe = makeSafeTable("\x00\t\n\f\r &>\"'<=`", false)
+// that raise unexpected-character-in-unquoted-attribute-value; the quoted
+// value tables stop at their closing quote, '&' and NUL.
+var (
+	unquotedValueSafe     = makeSafeTable("\x00\t\n\f\r &>\"'<=`", false)
+	doubleQuotedValueSafe = makeSafeTable("\x00&\"", false)
+	singleQuotedValueSafe = makeSafeTable("\x00&'", false)
+)
 
 // makeSafeTable builds a table with every byte safe except those in
 // unsafe; foldUpper additionally marks 'A'..'Z' unsafe.
@@ -544,7 +549,7 @@ func (z *Tokenizer) emitComment() {
 }
 
 func (z *Tokenizer) startNewAttr() {
-	z.attrQuote = 0
+	z.quote = 0
 	z.attrPos = z.pos
 	z.valStart = -1
 	z.attrPending = true
@@ -559,7 +564,7 @@ func (z *Tokenizer) finishAttr() {
 	z.attrPending = false
 	a := Attribute{
 		Name:  z.name.take(z.input),
-		Quote: z.attrQuote,
+		Quote: z.quote,
 		Pos:   z.attrPos,
 	}
 	if z.valStart >= 0 {
@@ -755,16 +760,8 @@ func hexVal(r rune) int {
 // per invocation round.
 func (z *Tokenizer) step() {
 	switch z.state {
-	case stateData:
-		z.dataState()
-	case stateRCDATA:
-		z.rcdataState()
-	case stateRAWTEXT:
-		z.rawtextState()
-	case stateScriptData:
-		z.scriptDataState()
-	case statePlaintext:
-		z.plaintextState()
+	case stateData, stateRCDATA, stateRAWTEXT, stateScriptData, statePlaintext:
+		z.contentState(contentModels[z.state])
 	case stateTagOpen:
 		z.tagOpenState()
 	case stateEndTagOpen:
@@ -790,15 +787,11 @@ func (z *Tokenizer) step() {
 	case stateScriptDataEndTagName:
 		z.rawEndTagNameState(stateScriptData)
 	case stateScriptDataEscapeStart:
-		z.scriptDataEscapeStartState()
+		z.scriptDataEscapeStartState(stateScriptDataEscapeStartDash)
 	case stateScriptDataEscapeStartDash:
-		z.scriptDataEscapeStartDashState()
-	case stateScriptDataEscaped:
-		z.scriptDataEscapedState()
-	case stateScriptDataEscapedDash:
-		z.scriptDataEscapedDashState()
-	case stateScriptDataEscapedDashDash:
-		z.scriptDataEscapedDashDashState()
+		z.scriptDataEscapeStartState(stateScriptDataEscapedDashDash)
+	case stateScriptDataEscaped, stateScriptDataEscapedDash, stateScriptDataEscapedDashDash:
+		z.scriptEscapedState(stateScriptDataEscaped)
 	case stateScriptDataEscapedLessThan:
 		z.scriptDataEscapedLessThanState()
 	case stateScriptDataEscapedEndTagOpen:
@@ -806,17 +799,13 @@ func (z *Tokenizer) step() {
 	case stateScriptDataEscapedEndTagName:
 		z.rawEndTagNameState(stateScriptDataEscaped)
 	case stateScriptDataDoubleEscapeStart:
-		z.scriptDataDoubleEscapeStartState()
-	case stateScriptDataDoubleEscaped:
-		z.scriptDataDoubleEscapedState()
-	case stateScriptDataDoubleEscapedDash:
-		z.scriptDataDoubleEscapedDashState()
-	case stateScriptDataDoubleEscapedDashDash:
-		z.scriptDataDoubleEscapedDashDashState()
+		z.scriptDoubleEscapeBoundaryState(stateScriptDataEscaped, stateScriptDataDoubleEscaped)
+	case stateScriptDataDoubleEscaped, stateScriptDataDoubleEscapedDash, stateScriptDataDoubleEscapedDashDash:
+		z.scriptEscapedState(stateScriptDataDoubleEscaped)
 	case stateScriptDataDoubleEscapedLessThan:
 		z.scriptDataDoubleEscapedLessThanState()
 	case stateScriptDataDoubleEscapeEnd:
-		z.scriptDataDoubleEscapeEndState()
+		z.scriptDoubleEscapeBoundaryState(stateScriptDataDoubleEscaped, stateScriptDataEscaped)
 	case stateBeforeAttributeName:
 		z.beforeAttributeNameState()
 	case stateAttributeName:
@@ -825,12 +814,8 @@ func (z *Tokenizer) step() {
 		z.afterAttributeNameState()
 	case stateBeforeAttributeValue:
 		z.beforeAttributeValueState()
-	case stateAttributeValueDoubleQuoted:
-		z.attributeValueQuotedState('"')
-	case stateAttributeValueSingleQuoted:
-		z.attributeValueQuotedState('\'')
-	case stateAttributeValueUnquoted:
-		z.attributeValueUnquotedState()
+	case stateAttributeValue:
+		z.attributeValueState()
 	case stateAfterAttributeValueQuoted:
 		z.afterAttributeValueQuotedState()
 	case stateSelfClosingStartTag:
@@ -868,25 +853,21 @@ func (z *Tokenizer) step() {
 	case stateAfterDoctypeName:
 		z.afterDoctypeNameState()
 	case stateAfterDoctypePublicKeyword:
-		z.afterDoctypePublicKeywordState()
+		z.afterDoctypeKeywordState(&doctypePublicID)
 	case stateBeforeDoctypePublicIdentifier:
-		z.beforeDoctypePublicIdentifierState()
-	case stateDoctypePublicIdentifierDoubleQuoted:
-		z.doctypePublicIdentifierState('"')
-	case stateDoctypePublicIdentifierSingleQuoted:
-		z.doctypePublicIdentifierState('\'')
+		z.beforeDoctypeIdentifierState(&doctypePublicID)
+	case stateDoctypePublicIdentifier:
+		z.doctypeIdentifierState(&doctypePublicID)
 	case stateAfterDoctypePublicIdentifier:
-		z.afterDoctypePublicIdentifierState()
+		z.afterDoctypeKeywordState(&doctypeOptionalSystemID)
 	case stateBetweenDoctypePublicAndSystemIdentifiers:
-		z.betweenDoctypePublicAndSystemIdentifiersState()
+		z.beforeDoctypeIdentifierState(&doctypeOptionalSystemID)
 	case stateAfterDoctypeSystemKeyword:
-		z.afterDoctypeSystemKeywordState()
+		z.afterDoctypeKeywordState(&doctypeSystemID)
 	case stateBeforeDoctypeSystemIdentifier:
-		z.beforeDoctypeSystemIdentifierState()
-	case stateDoctypeSystemIdentifierDoubleQuoted:
-		z.doctypeSystemIdentifierState('"')
-	case stateDoctypeSystemIdentifierSingleQuoted:
-		z.doctypeSystemIdentifierState('\'')
+		z.beforeDoctypeIdentifierState(&doctypeSystemID)
+	case stateDoctypeSystemIdentifier:
+		z.doctypeIdentifierState(&doctypeSystemID)
 	case stateAfterDoctypeSystemIdentifier:
 		z.afterDoctypeSystemIdentifierState()
 	case stateBogusDoctype:
@@ -900,98 +881,46 @@ func (z *Tokenizer) step() {
 	}
 }
 
-func (z *Tokenizer) dataState() {
+// contentModel is what the data, RCDATA, RAWTEXT, script data and
+// PLAINTEXT states differ in: the bytes a text run stops at (a '&' among
+// them starts a character reference), whether a NUL stays in the text for
+// the tree builder to judge or becomes U+FFFD, and the state a '<' leads
+// to.
+type contentModel struct {
+	stop1, stop2 byte
+	keepNUL      bool
+	lessThan     state
+}
+
+var contentModels = [...]contentModel{
+	stateData:       {'<', '&', true, stateTagOpen},
+	stateRCDATA:     {'<', '&', false, stateRCDATALessThan},
+	stateRAWTEXT:    {'<', '<', false, stateRAWTEXTLessThan},
+	stateScriptData: {'<', '<', false, stateScriptDataLessThan},
+	statePlaintext:  {}, // stops at NUL alone, so no '<' reaches the switch
+}
+
+// contentState is the five content states. scanText leaves only a stop
+// byte, a NUL or the end of input for the switch.
+func (z *Tokenizer) contentState(m contentModel) {
 	for {
-		z.scanText('<', '&')
-		switch r := z.next(); r {
+		z.scanText(m.stop1, m.stop2)
+		switch z.next() {
 		case '&':
 			z.textCharRef()
 		case '<':
-			z.state = stateTagOpen
+			z.state = m.lessThan
 			return
 		case 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.addTextChar()
+			if m.keepNUL {
+				z.addTextChar()
+			} else {
+				z.addTextRune('�')
+			}
 		case eofRune:
 			z.emitEOF()
 			return
-		default:
-			z.addTextChar()
-		}
-	}
-}
-
-func (z *Tokenizer) rcdataState() {
-	for {
-		z.scanText('<', '&')
-		switch r := z.next(); r {
-		case '&':
-			z.textCharRef()
-		case '<':
-			z.state = stateRCDATALessThan
-			return
-		case 0:
-			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.addTextRune('�')
-		case eofRune:
-			z.emitEOF()
-			return
-		default:
-			z.addTextChar()
-		}
-	}
-}
-
-func (z *Tokenizer) rawtextState() {
-	for {
-		z.scanText('<', '<')
-		switch r := z.next(); r {
-		case '<':
-			z.state = stateRAWTEXTLessThan
-			return
-		case 0:
-			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.addTextRune('�')
-		case eofRune:
-			z.emitEOF()
-			return
-		default:
-			z.addTextChar()
-		}
-	}
-}
-
-func (z *Tokenizer) scriptDataState() {
-	for {
-		z.scanText('<', '<')
-		switch r := z.next(); r {
-		case '<':
-			z.state = stateScriptDataLessThan
-			return
-		case 0:
-			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.addTextRune('�')
-		case eofRune:
-			z.emitEOF()
-			return
-		default:
-			z.addTextChar()
-		}
-	}
-}
-
-func (z *Tokenizer) plaintextState() {
-	for {
-		z.scanText(0, 0)
-		switch r := z.next(); r {
-		case 0:
-			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.addTextRune('�')
-		case eofRune:
-			z.emitEOF()
-			return
-		default:
-			z.addTextChar()
 		}
 	}
 }
@@ -1139,9 +1068,12 @@ func (z *Tokenizer) scriptDataLessThanState() {
 	}
 }
 
-func (z *Tokenizer) scriptDataEscapeStartState() {
+// scriptDataEscapeStartState is the script data escape start state
+// (onDash is the escape start dash state) and the escape start dash state
+// (onDash is the escaped dash dash state).
+func (z *Tokenizer) scriptDataEscapeStartState(onDash state) {
 	if z.next() == '-' {
-		z.state = stateScriptDataEscapeStartDash
+		z.state = onDash
 		z.addTextChar()
 		return
 	}
@@ -1149,72 +1081,33 @@ func (z *Tokenizer) scriptDataEscapeStartState() {
 	z.state = stateScriptData
 }
 
-func (z *Tokenizer) scriptDataEscapeStartDashState() {
-	if z.next() == '-' {
-		z.state = stateScriptDataEscapedDashDash
+// scriptEscapedState is the escaped (level stateScriptDataEscaped) or
+// double escaped (level stateScriptDataDoubleEscaped) state, or the dash
+// or dash-dash state of that level. The levels differ only in that the
+// double escaped one emits a '<' before it leaves for its less-than state.
+func (z *Tokenizer) scriptEscapedState(level state) {
+	dashes := z.state - level
+	switch r := z.next(); {
+	case r == '-':
+		z.state = level + min(dashes+1, 2)
 		z.addTextChar()
-		return
-	}
-	z.back()
-	z.state = stateScriptData
-}
-
-func (z *Tokenizer) scriptDataEscapedState() {
-	switch r := z.next(); r {
-	case '-':
-		z.state = stateScriptDataEscapedDash
-		z.addTextChar()
-	case '<':
-		z.state = stateScriptDataEscapedLessThan
-	case 0:
-		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.addTextRune('�')
-	case eofRune:
-		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
-		z.emitEOF()
-	default:
-		z.addTextChar()
-	}
-}
-
-func (z *Tokenizer) scriptDataEscapedDashState() {
-	switch r := z.next(); r {
-	case '-':
-		z.state = stateScriptDataEscapedDashDash
-		z.addTextChar()
-	case '<':
-		z.state = stateScriptDataEscapedLessThan
-	case 0:
-		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.state = stateScriptDataEscaped
-		z.addTextRune('�')
-	case eofRune:
-		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
-		z.emitEOF()
-	default:
-		z.state = stateScriptDataEscaped
-		z.addTextChar()
-	}
-}
-
-func (z *Tokenizer) scriptDataEscapedDashDashState() {
-	switch r := z.next(); r {
-	case '-':
-		z.addTextChar()
-	case '<':
-		z.state = stateScriptDataEscapedLessThan
-	case '>':
+	case r == '<':
+		z.state = level + 3
+		if level == stateScriptDataDoubleEscaped {
+			z.addTextChar()
+		}
+	case r == '>' && dashes == 2:
 		z.state = stateScriptData
 		z.addTextChar()
-	case 0:
+	case r == 0:
 		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.state = stateScriptDataEscaped
+		z.state = level
 		z.addTextRune('�')
-	case eofRune:
+	case r == eofRune:
 		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
 		z.emitEOF()
 	default:
-		z.state = stateScriptDataEscaped
+		z.state = level
 		z.addTextChar()
 	}
 }
@@ -1235,93 +1128,6 @@ func (z *Tokenizer) scriptDataEscapedLessThanState() {
 	}
 }
 
-// tmpIsScript reports whether the letters since tmpStart, up to the
-// character just consumed, spell "script" in any case.
-func (z *Tokenizer) tmpIsScript() bool {
-	return strings.EqualFold(zcString(z.input[z.tmpStart:z.prevPos]), "script")
-}
-
-func (z *Tokenizer) scriptDataDoubleEscapeStartState() {
-	r := z.next()
-	switch {
-	case isWhitespace(r) || r == '/' || r == '>':
-		if z.tmpIsScript() {
-			z.state = stateScriptDataDoubleEscaped
-		} else {
-			z.state = stateScriptDataEscaped
-		}
-		z.addTextChar()
-	case isASCIIAlpha(r):
-		z.addTextChar()
-	default:
-		z.back()
-		z.state = stateScriptDataEscaped
-	}
-}
-
-func (z *Tokenizer) scriptDataDoubleEscapedState() {
-	switch r := z.next(); r {
-	case '-':
-		z.state = stateScriptDataDoubleEscapedDash
-		z.addTextChar()
-	case '<':
-		z.state = stateScriptDataDoubleEscapedLessThan
-		z.addTextChar()
-	case 0:
-		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.addTextRune('�')
-	case eofRune:
-		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
-		z.emitEOF()
-	default:
-		z.addTextChar()
-	}
-}
-
-func (z *Tokenizer) scriptDataDoubleEscapedDashState() {
-	switch r := z.next(); r {
-	case '-':
-		z.state = stateScriptDataDoubleEscapedDashDash
-		z.addTextChar()
-	case '<':
-		z.state = stateScriptDataDoubleEscapedLessThan
-		z.addTextChar()
-	case 0:
-		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.state = stateScriptDataDoubleEscaped
-		z.addTextRune('�')
-	case eofRune:
-		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
-		z.emitEOF()
-	default:
-		z.state = stateScriptDataDoubleEscaped
-		z.addTextChar()
-	}
-}
-
-func (z *Tokenizer) scriptDataDoubleEscapedDashDashState() {
-	switch r := z.next(); r {
-	case '-':
-		z.addTextChar()
-	case '<':
-		z.state = stateScriptDataDoubleEscapedLessThan
-		z.addTextChar()
-	case '>':
-		z.state = stateScriptData
-		z.addTextChar()
-	case 0:
-		z.parseError(ErrUnexpectedNullCharacter, "")
-		z.state = stateScriptDataDoubleEscaped
-		z.addTextRune('�')
-	case eofRune:
-		z.parseError(ErrEOFInScriptHTMLCommentLikeText, "")
-		z.emitEOF()
-	default:
-		z.state = stateScriptDataDoubleEscaped
-		z.addTextChar()
-	}
-}
-
 func (z *Tokenizer) scriptDataDoubleEscapedLessThanState() {
 	if z.next() == '/' {
 		z.tmpStart = z.pos
@@ -1333,21 +1139,24 @@ func (z *Tokenizer) scriptDataDoubleEscapedLessThanState() {
 	z.state = stateScriptDataDoubleEscaped
 }
 
-func (z *Tokenizer) scriptDataDoubleEscapeEndState() {
+// scriptDoubleEscapeBoundaryState is the double escape start state (from
+// escaped to double escaped) and the double escape end state (back): the
+// letters since tmpStart cross to the other level if they spell "script"
+// in any case when whitespace, '/' or '>' ends them.
+func (z *Tokenizer) scriptDoubleEscapeBoundaryState(from, to state) {
 	r := z.next()
 	switch {
 	case isWhitespace(r) || r == '/' || r == '>':
-		if z.tmpIsScript() {
-			z.state = stateScriptDataEscaped
-		} else {
-			z.state = stateScriptDataDoubleEscaped
+		z.state = from
+		if strings.EqualFold(zcString(z.input[z.tmpStart:z.prevPos]), "script") {
+			z.state = to
 		}
 		z.addTextChar()
 	case isASCIIAlpha(r):
 		z.addTextChar()
 	default:
 		z.back()
-		z.state = stateScriptDataDoubleEscaped
+		z.state = from
 	}
 }
 
@@ -1440,15 +1249,10 @@ func (z *Tokenizer) beforeAttributeValueState() {
 		switch {
 		case isWhitespace(r):
 			// ignore
-		case r == '"':
-			z.attrQuote = '"'
+		case r == '"' || r == '\'':
+			z.quote = byte(r)
 			z.valStart = z.pos
-			z.state = stateAttributeValueDoubleQuoted
-			return
-		case r == '\'':
-			z.attrQuote = '\''
-			z.valStart = z.pos
-			z.state = stateAttributeValueSingleQuoted
+			z.state = stateAttributeValue
 			return
 		case r == '>':
 			z.parseError(ErrMissingAttributeValue, string(z.name.bytes(z.input)))
@@ -1459,23 +1263,30 @@ func (z *Tokenizer) beforeAttributeValueState() {
 		default:
 			z.back()
 			z.valStart = z.pos
-			z.state = stateAttributeValueUnquoted
+			z.state = stateAttributeValue
 			return
 		}
 	}
 }
 
-func (z *Tokenizer) attributeValueQuotedState(quote rune) {
+// attributeValueState is the attribute value (double-quoted),
+// (single-quoted) and (unquoted) states, told apart by quote. The scan
+// leaves the switch only the bytes its table stops at, so whitespace, '>'
+// and the default case are reached in an unquoted value alone.
+func (z *Tokenizer) attributeValueState() {
+	safe := unquotedValueSafe
+	switch z.quote {
+	case '"':
+		safe = doubleQuotedValueSafe
+	case '\'':
+		safe = singleQuotedValueSafe
+	}
 	for {
 		off := z.pos
-		z.scanUntil(byte(quote), '&')
+		z.scanTable(safe)
 		z.value.add(z.input, off, z.pos)
 		r := z.next()
 		switch {
-		case r == quote:
-			z.finishAttr()
-			z.state = stateAfterAttributeValueQuoted
-			return
 		case r == '&':
 			z.consumeCharRef(&z.value, true)
 		case r == 0:
@@ -1485,41 +1296,21 @@ func (z *Tokenizer) attributeValueQuotedState(quote rune) {
 			z.parseError(ErrEOFInTag, "")
 			z.emitEOF()
 			return
-		default:
-			z.addChar(&z.value)
-		}
-	}
-}
-
-func (z *Tokenizer) attributeValueUnquotedState() {
-	for {
-		off := z.pos
-		z.scanTable(unquotedValueSafe)
-		z.value.add(z.input, off, z.pos)
-		r := z.next()
-		switch {
+		case r == rune(z.quote):
+			z.finishAttr()
+			z.state = stateAfterAttributeValueQuoted
+			return
 		case isWhitespace(r):
 			z.finishAttr()
 			z.state = stateBeforeAttributeName
 			return
-		case r == '&':
-			z.consumeCharRef(&z.value, true)
 		case r == '>':
 			z.finishAttr()
 			z.state = stateData
 			z.emitCurrentTag()
 			return
-		case r == 0:
-			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.value.addRune(z.input, '�')
-		case r == '"' || r == '\'' || r == '<' || r == '=' || r == '`':
-			z.parseError(ErrUnexpectedCharInUnquotedAttrValue, string(r))
-			z.addChar(&z.value)
-		case r == eofRune:
-			z.parseError(ErrEOFInTag, "")
-			z.emitEOF()
-			return
 		default:
+			z.parseError(ErrUnexpectedCharInUnquotedAttrValue, string(r))
 			z.addChar(&z.value)
 		}
 	}
@@ -1594,8 +1385,7 @@ func (z *Tokenizer) markupDeclarationOpenState() {
 		z.advanceTo(z.pos + 2)
 		z.cur = Token{Type: CommentToken, Pos: z.pos}
 		z.state = stateCommentStart
-	case len(rest) >= 7 && strings.EqualFold(string(rest[:7]), "doctype"):
-		z.advanceTo(z.pos + 7)
+	case z.matchKeyword(z.pos, "doctype"):
 		z.state = stateDoctype
 	case len(rest) >= 7 && string(rest[:7]) == "[CDATA[":
 		z.advanceTo(z.pos + 7)
@@ -1616,6 +1406,17 @@ func (z *Tokenizer) markupDeclarationOpenState() {
 		z.cur = Token{Type: CommentToken, Pos: z.pos}
 		z.state = stateBogusComment
 	}
+}
+
+// matchKeyword reports whether the input at off starts with kw in any
+// case and, if it does, moves the cursor past it.
+func (z *Tokenizer) matchKeyword(off int, kw string) bool {
+	rest := z.input[off:]
+	if len(rest) < len(kw) || !strings.EqualFold(zcString(rest[:len(kw)]), kw) {
+		return false
+	}
+	z.advanceTo(off + len(kw))
+	return true
 }
 
 func (z *Tokenizer) commentStartState() {
@@ -1783,9 +1584,8 @@ func (z *Tokenizer) doctypeState() {
 		z.back()
 		z.state = stateBeforeDoctypeName
 	case r == eofRune:
-		z.parseError(ErrEOFInDoctype, "")
-		z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.pos})
-		z.emitEOF()
+		z.cur = Token{Type: DoctypeToken, Pos: z.pos}
+		z.doctypeEOF()
 	default:
 		z.parseError(ErrMissingWhitespaceBeforeDoctypeName, "")
 		z.back()
@@ -1805,9 +1605,8 @@ func (z *Tokenizer) beforeDoctypeNameState() {
 			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.pos})
 			return
 		case r == eofRune:
-			z.parseError(ErrEOFInDoctype, "")
-			z.emit(&Token{Type: DoctypeToken, ForceQuirks: true, Pos: z.pos})
-			z.emitEOF()
+			z.cur = Token{Type: DoctypeToken, Pos: z.pos}
+			z.doctypeEOF()
 			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
@@ -1842,10 +1641,7 @@ func (z *Tokenizer) doctypeNameState() {
 			z.data.addRune(z.input, '�')
 		case r == eofRune:
 			z.cur.Data = z.data.take(z.input)
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
+			z.doctypeEOF()
 			return
 		default:
 			z.addLower(&z.data, r)
@@ -1864,20 +1660,14 @@ func (z *Tokenizer) afterDoctypeNameState() {
 			z.emit(&z.cur)
 			return
 		case r == eofRune:
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
+			z.doctypeEOF()
 			return
 		default:
-			rest := z.input[z.prevPos:]
-			if len(rest) >= 6 && strings.EqualFold(string(rest[:6]), "public") {
-				z.advanceTo(z.prevPos + 6)
+			if z.matchKeyword(z.prevPos, "public") {
 				z.state = stateAfterDoctypePublicKeyword
 				return
 			}
-			if len(rest) >= 6 && strings.EqualFold(string(rest[:6]), "system") {
-				z.advanceTo(z.prevPos + 6)
+			if z.matchKeyword(z.prevPos, "system") {
 				z.state = stateAfterDoctypeSystemKeyword
 				return
 			}
@@ -1890,243 +1680,125 @@ func (z *Tokenizer) afterDoctypeNameState() {
 	}
 }
 
-func (z *Tokenizer) afterDoctypePublicKeywordState() {
-	r := z.next()
-	switch {
+// doctypeID is what the states before and in a doctype identifier vary
+// in: the identifier they fill, the states they lead to and the errors
+// they raise. missing is empty where the identifier may be absent.
+type doctypeID struct {
+	system                                           bool // fills SystemID, else PublicID
+	before, quoted, after                            state
+	missingWhitespace, missing, missingQuote, abrupt ErrorCode
+}
+
+var (
+	doctypePublicID = doctypeID{
+		before: stateBeforeDoctypePublicIdentifier, quoted: stateDoctypePublicIdentifier, after: stateAfterDoctypePublicIdentifier,
+		missingWhitespace: ErrMissingWhitespaceAfterDoctypeKW, missing: ErrMissingDoctypePublicIdentifier,
+		missingQuote: ErrMissingQuoteBeforeDoctypePublicID, abrupt: ErrAbruptDoctypePublicIdentifier,
+	}
+	doctypeSystemID = doctypeID{
+		system: true, before: stateBeforeDoctypeSystemIdentifier, quoted: stateDoctypeSystemIdentifier, after: stateAfterDoctypeSystemIdentifier,
+		missingWhitespace: ErrMissingWhitespaceAfterDoctypeKW, missing: ErrMissingDoctypeSystemIdentifier,
+		missingQuote: ErrMissingQuoteBeforeDoctypeSystemID, abrupt: ErrAbruptDoctypeSystemIdentifier,
+	}
+	// doctypeOptionalSystemID is the system identifier after a public one,
+	// which may be absent.
+	doctypeOptionalSystemID = doctypeID{
+		system: true, before: stateBetweenDoctypePublicAndSystemIdentifiers, quoted: stateDoctypeSystemIdentifier,
+		missingWhitespace: ErrMissingWhitespaceBetweenDTIDs, missingQuote: ErrMissingQuoteBeforeDoctypeSystemID,
+	}
+)
+
+// doctypeEOF ends every doctype state at the end of input: the doctype
+// goes out in quirks mode, then the end-of-file token.
+func (z *Tokenizer) doctypeEOF() {
+	z.parseError(ErrEOFInDoctype, "")
+	z.cur.ForceQuirks = true
+	z.emit(&z.cur)
+	z.emitEOF()
+}
+
+// afterDoctypeKeywordState is the after DOCTYPE public or system keyword
+// state and, for doctypeOptionalSystemID, the after DOCTYPE public
+// identifier state: whitespace should come before the identifier's quote.
+func (z *Tokenizer) afterDoctypeKeywordState(id *doctypeID) {
+	switch r := z.next(); {
 	case isWhitespace(r):
-		z.state = stateBeforeDoctypePublicIdentifier
-	case r == '"':
-		z.parseError(ErrMissingWhitespaceAfterDoctypeKW, "")
-		z.state = stateDoctypePublicIdentifierDoubleQuoted
-	case r == '\'':
-		z.parseError(ErrMissingWhitespaceAfterDoctypeKW, "")
-		z.state = stateDoctypePublicIdentifierSingleQuoted
+		z.state = id.before
+	case r == '"' || r == '\'':
+		z.parseError(id.missingWhitespace, "")
+		z.quote = byte(r)
+		z.state = id.quoted
+	default:
+		z.missingDoctypeIdentifier(id, r)
+	}
+}
+
+// beforeDoctypeIdentifierState is the before DOCTYPE public or system
+// identifier state and, for doctypeOptionalSystemID, the between DOCTYPE
+// public and system identifiers state: it skips whitespace up to the
+// identifier's quote.
+func (z *Tokenizer) beforeDoctypeIdentifierState(id *doctypeID) {
+	for {
+		switch r := z.next(); {
+		case isWhitespace(r):
+		case r == '"' || r == '\'':
+			z.quote = byte(r)
+			z.state = id.quoted
+			return
+		default:
+			z.missingDoctypeIdentifier(id, r)
+			return
+		}
+	}
+}
+
+// missingDoctypeIdentifier handles r, neither whitespace nor a quote,
+// where an identifier should begin.
+func (z *Tokenizer) missingDoctypeIdentifier(id *doctypeID, r rune) {
+	switch {
 	case r == '>':
-		z.parseError(ErrMissingDoctypePublicIdentifier, "")
-		z.cur.ForceQuirks = true
+		if id.missing != "" {
+			z.parseError(id.missing, "")
+			z.cur.ForceQuirks = true
+		}
 		z.state = stateData
 		z.emit(&z.cur)
 	case r == eofRune:
-		z.parseError(ErrEOFInDoctype, "")
-		z.cur.ForceQuirks = true
-		z.emit(&z.cur)
-		z.emitEOF()
+		z.doctypeEOF()
 	default:
-		z.parseError(ErrMissingQuoteBeforeDoctypePublicID, "")
+		z.parseError(id.missingQuote, "")
 		z.cur.ForceQuirks = true
 		z.back()
 		z.state = stateBogusDoctype
 	}
 }
 
-func (z *Tokenizer) beforeDoctypePublicIdentifierState() {
+// doctypeIdentifierState is the DOCTYPE public or system identifier
+// (double-quoted) or (single-quoted) state.
+func (z *Tokenizer) doctypeIdentifierState(id *doctypeID) {
 	for {
 		r := z.next()
 		switch {
-		case isWhitespace(r):
-		case r == '"':
-			z.state = stateDoctypePublicIdentifierDoubleQuoted
-			return
-		case r == '\'':
-			z.state = stateDoctypePublicIdentifierSingleQuoted
-			return
-		case r == '>':
-			z.parseError(ErrMissingDoctypePublicIdentifier, "")
-			z.cur.ForceQuirks = true
-			z.state = stateData
-			z.emit(&z.cur)
-			return
-		case r == eofRune:
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
-			return
-		default:
-			z.parseError(ErrMissingQuoteBeforeDoctypePublicID, "")
-			z.cur.ForceQuirks = true
-			z.back()
-			z.state = stateBogusDoctype
-			return
-		}
-	}
-}
-
-func (z *Tokenizer) doctypePublicIdentifierState(quote rune) {
-	for {
-		r := z.next()
-		switch {
-		case r == quote:
-			z.cur.PublicID = z.data.take(z.input)
-			z.state = stateAfterDoctypePublicIdentifier
-			return
 		case r == 0:
 			z.parseError(ErrUnexpectedNullCharacter, "")
 			z.data.addRune(z.input, '�')
-		case r == '>':
-			z.cur.PublicID = z.data.take(z.input)
-			z.parseError(ErrAbruptDoctypePublicIdentifier, "")
-			z.cur.ForceQuirks = true
-			z.state = stateData
-			z.emit(&z.cur)
-			return
-		case r == eofRune:
-			z.cur.PublicID = z.data.take(z.input)
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
-			return
-		default:
-			z.addChar(&z.data)
-		}
-	}
-}
-
-func (z *Tokenizer) afterDoctypePublicIdentifierState() {
-	r := z.next()
-	switch {
-	case isWhitespace(r):
-		z.state = stateBetweenDoctypePublicAndSystemIdentifiers
-	case r == '>':
-		z.state = stateData
-		z.emit(&z.cur)
-	case r == '"':
-		z.parseError(ErrMissingWhitespaceBetweenDTIDs, "")
-		z.state = stateDoctypeSystemIdentifierDoubleQuoted
-	case r == '\'':
-		z.parseError(ErrMissingWhitespaceBetweenDTIDs, "")
-		z.state = stateDoctypeSystemIdentifierSingleQuoted
-	case r == eofRune:
-		z.parseError(ErrEOFInDoctype, "")
-		z.cur.ForceQuirks = true
-		z.emit(&z.cur)
-		z.emitEOF()
-	default:
-		z.parseError(ErrMissingQuoteBeforeDoctypeSystemID, "")
-		z.cur.ForceQuirks = true
-		z.back()
-		z.state = stateBogusDoctype
-	}
-}
-
-func (z *Tokenizer) betweenDoctypePublicAndSystemIdentifiersState() {
-	for {
-		r := z.next()
-		switch {
-		case isWhitespace(r):
-		case r == '>':
-			z.state = stateData
-			z.emit(&z.cur)
-			return
-		case r == '"':
-			z.state = stateDoctypeSystemIdentifierDoubleQuoted
-			return
-		case r == '\'':
-			z.state = stateDoctypeSystemIdentifierSingleQuoted
-			return
-		case r == eofRune:
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
-			return
-		default:
-			z.parseError(ErrMissingQuoteBeforeDoctypeSystemID, "")
-			z.cur.ForceQuirks = true
-			z.back()
-			z.state = stateBogusDoctype
-			return
-		}
-	}
-}
-
-func (z *Tokenizer) afterDoctypeSystemKeywordState() {
-	r := z.next()
-	switch {
-	case isWhitespace(r):
-		z.state = stateBeforeDoctypeSystemIdentifier
-	case r == '"':
-		z.parseError(ErrMissingWhitespaceAfterDoctypeKW, "")
-		z.state = stateDoctypeSystemIdentifierDoubleQuoted
-	case r == '\'':
-		z.parseError(ErrMissingWhitespaceAfterDoctypeKW, "")
-		z.state = stateDoctypeSystemIdentifierSingleQuoted
-	case r == '>':
-		z.parseError(ErrMissingDoctypeSystemIdentifier, "")
-		z.cur.ForceQuirks = true
-		z.state = stateData
-		z.emit(&z.cur)
-	case r == eofRune:
-		z.parseError(ErrEOFInDoctype, "")
-		z.cur.ForceQuirks = true
-		z.emit(&z.cur)
-		z.emitEOF()
-	default:
-		z.parseError(ErrMissingQuoteBeforeDoctypeSystemID, "")
-		z.cur.ForceQuirks = true
-		z.back()
-		z.state = stateBogusDoctype
-	}
-}
-
-func (z *Tokenizer) beforeDoctypeSystemIdentifierState() {
-	for {
-		r := z.next()
-		switch {
-		case isWhitespace(r):
-		case r == '"':
-			z.state = stateDoctypeSystemIdentifierDoubleQuoted
-			return
-		case r == '\'':
-			z.state = stateDoctypeSystemIdentifierSingleQuoted
-			return
-		case r == '>':
-			z.parseError(ErrMissingDoctypeSystemIdentifier, "")
-			z.cur.ForceQuirks = true
-			z.state = stateData
-			z.emit(&z.cur)
-			return
-		case r == eofRune:
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
-			return
-		default:
-			z.parseError(ErrMissingQuoteBeforeDoctypeSystemID, "")
-			z.cur.ForceQuirks = true
-			z.back()
-			z.state = stateBogusDoctype
-			return
-		}
-	}
-}
-
-func (z *Tokenizer) doctypeSystemIdentifierState(quote rune) {
-	for {
-		r := z.next()
-		switch {
-		case r == quote:
-			z.cur.SystemID = z.data.take(z.input)
-			z.state = stateAfterDoctypeSystemIdentifier
-			return
-		case r == 0:
-			z.parseError(ErrUnexpectedNullCharacter, "")
-			z.data.addRune(z.input, '�')
-		case r == '>':
-			z.cur.SystemID = z.data.take(z.input)
-			z.parseError(ErrAbruptDoctypeSystemIdentifier, "")
-			z.cur.ForceQuirks = true
-			z.state = stateData
-			z.emit(&z.cur)
-			return
-		case r == eofRune:
-			z.cur.SystemID = z.data.take(z.input)
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
+		case r == rune(z.quote) || r == '>' || r == eofRune:
+			if id.system {
+				z.cur.SystemID = z.data.take(z.input)
+			} else {
+				z.cur.PublicID = z.data.take(z.input)
+			}
+			switch r {
+			case '>':
+				z.parseError(id.abrupt, "")
+				z.cur.ForceQuirks = true
+				z.state = stateData
+				z.emit(&z.cur)
+			case eofRune:
+				z.doctypeEOF()
+			default:
+				z.state = id.after
+			}
 			return
 		default:
 			z.addChar(&z.data)
@@ -2144,10 +1816,7 @@ func (z *Tokenizer) afterDoctypeSystemIdentifierState() {
 			z.emit(&z.cur)
 			return
 		case r == eofRune:
-			z.parseError(ErrEOFInDoctype, "")
-			z.cur.ForceQuirks = true
-			z.emit(&z.cur)
-			z.emitEOF()
+			z.doctypeEOF()
 			return
 		default:
 			z.parseError(ErrUnexpectedCharacterAfterDTSystemID, "")
